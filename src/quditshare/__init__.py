@@ -44,6 +44,7 @@ from .protocol import (
     ProtocolParams,
     QuditSent,
     Transcript,
+    Variant,
     derived_seed,
     post_encoding_state,
     run_product_counterfactual,

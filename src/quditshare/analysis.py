@@ -11,11 +11,10 @@ from .protocol import (
     DEFAULT_SEED,
     REPAIRED,
     SONG_ORIGINAL,
+    VARIANTS,
     ProtocolParams,
     derived_seed,
     post_encoding_state,
-    run_repaired_all_measure,
-    run_song_original,
 )
 from .qudit_sim import (
     PRUNE_TOL,
@@ -25,7 +24,6 @@ from .qudit_sim import (
     apply_local,
     basis_digits,
     basis_label,
-    joint_distribution,
     marginal,
     qft_inv,
     size_cap,
@@ -113,8 +111,7 @@ def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
 
 def outcome_marginal(params: ProtocolParams) -> MarginalDistribution:
     """Exact distribution of agent 1's Fourier-basis measurement."""
-    reg = post_encoding_state(params)
-    return marginal(apply_local(reg, 1, qft_inv(params.d)), 1)
+    return VARIANTS[SONG_ORIGINAL].distribution(params)
 
 
 def success_probability_exact(params: ProtocolParams) -> float:
@@ -123,17 +120,12 @@ def success_probability_exact(params: ProtocolParams) -> float:
     Equals 1/d whenever t >= 2: the other agents' qudits leave agent 1's
     reduced state maximally mixed, untouched by any local unitary.
     """
-    return float(outcome_marginal(params).probs[params.expected_secret])
+    return float(VARIANTS[SONG_ORIGINAL].distribution(params).probs[params.expected_secret])
 
 
 def repaired_success_probability_exact(params: ProtocolParams) -> float:
     """Total probability that the all-measure variant's announced sum is the secret."""
-    reg = post_encoding_state(params)
-    for r in range(1, params.t + 1):
-        reg = apply_local(reg, r, qft_inv(params.d))
-    joint = joint_distribution(reg)
-    secret = params.expected_secret
-    return sum(p for m, p in joint.entries.items() if sum(m) % params.d == secret)
+    return float(VARIANTS[REPAIRED].distribution(params).probs[params.expected_secret])
 
 
 def success_probability_mc(
@@ -149,15 +141,12 @@ def success_probability_mc(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if variant == SONG_ORIGINAL:
-        run = run_song_original
-    elif variant == REPAIRED:
-        run = run_repaired_all_measure
-    else:
-        raise ValueError(f"no Monte-Carlo runner for variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    flow = VARIANTS[variant]
     hits = 0
     for i in range(trials):
-        tr = run(params.with_seed(derived_seed(seed, i)))
+        tr = flow.run(params.with_seed(derived_seed(seed, i)))
         hits += tr.final_outcome == tr.expected_secret
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -18,29 +18,13 @@ import json
 import secrets
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    ReproductionError,
-    reproduce_example_d4,
-    repaired_success_probability_exact,
-    success_probability_exact,
-)
+from .analysis import ReproductionError, reproduce_example_d4
 from .modmath import NotInvertible, SharePolynomial, gen_shares, lagrange_term
-from .protocol import (
-    DEFAULT_SEED,
-    PRODUCT_COUNTERFACTUAL,
-    REPAIRED,
-    SONG_ORIGINAL,
-    ProtocolParams,
-    derived_seed,
-    run_product_counterfactual,
-    run_repaired_all_measure,
-    run_song_original,
-)
+from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
 from .qudit_sim import SizeCapExceeded, size_cap
 
 EXIT_OK = 0
@@ -55,24 +39,6 @@ SWEEP_TOL = 1e-10
 
 class ConfigError(ValueError):
     """Invalid flag combination or parameter value."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    d: int | None = None
-    t: int | None = None
-    n: int | None = None
-    coeffs: tuple[int, ...] | None = None
-    s_vector: tuple[int, ...] | None = None
-    xs: tuple[int, ...] | None = None
-    variant: str = SONG_ORIGINAL
-    trials: int = 10000
-    seed: int = DEFAULT_SEED
-    fmt: str = "text"
-    out: str | None = None
-    d_max: int = SWEEP_D_MAX
-    t_max: int = SWEEP_T_MAX
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -108,8 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(shares)
 
     sim = sub.add_parser("simulate", help="run one protocol variant")
-    sim.add_argument("--variant", choices=(SONG_ORIGINAL, PRODUCT_COUNTERFACTUAL, REPAIRED),
-                     default=SONG_ORIGINAL)
+    sim.add_argument("--variant", choices=tuple(VARIANTS), default=SONG_ORIGINAL)
     sim.add_argument("--d", type=int, required=True, help="modulus / local dimension")
     sim.add_argument("--t", type=int, default=None, help="threshold (inferred when omitted)")
     sim.add_argument("--n", type=int, default=None, help="total agents (default: t or len(xs))")
@@ -131,162 +96,125 @@ def _parser() -> argparse.ArgumentParser:
                        help=f"largest modulus, at most {SWEEP_D_MAX}")
     sweep.add_argument("--t-max", type=int, default=SWEEP_T_MAX, dest="t_max",
                        help=f"largest threshold, at most {SWEEP_T_MAX}")
-    sweep.add_argument("--variant", choices=(SONG_ORIGINAL, REPAIRED), default=SONG_ORIGINAL)
+    sweep.add_argument("--variant", choices=tuple(VARIANTS), default=SONG_ORIGINAL)
     _add_common(sweep)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    seed = secrets.randbits(63) if getattr(args, "random_seed", False) else args.seed
-    fields = {
-        "command": args.command,
-        "seed": seed,
-        "fmt": args.fmt,
-        "out": args.out,
-    }
-    for name in ("d", "t", "n", "coeffs", "s_vector", "xs", "variant", "trials", "d_max", "t_max"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return CliConfig(**fields)
-
-
-def _emit(config: CliConfig, text: str, doc: dict) -> None:
-    payload = json.dumps(doc, indent=2) + "\n" if config.fmt == "structured" else text
-    if config.out is not None:
-        Path(config.out).write_text(payload, encoding="utf-8")
+def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
+    payload = json.dumps(doc, indent=2) + "\n" if args.fmt == "structured" else text
+    if args.out is not None:
+        Path(args.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 
 
-def _verdict_line(outcome: int, expected: int) -> str:
-    return f"outcome == secret: {'yes' if outcome == expected else 'no'}"
-
-
-def cmd_shares(config: CliConfig) -> int:
-    poly = SharePolynomial(config.d, config.coeffs)
-    shares = gen_shares(poly, config.xs)
+def cmd_shares(args: argparse.Namespace) -> int:
+    poly = SharePolynomial(args.d, args.coeffs)
+    shares = gen_shares(poly, args.xs)
     t = poly.threshold
     if len(shares) < t:
         raise ConfigError(f"need at least t={t} abscissae, got {len(shares)}")
     participating = shares[:t]
-    terms = [lagrange_term(participating, r, config.d).s for r in range(1, t + 1)]
-    total = sum(terms) % config.d
-    lines = [f"d={config.d} t={t} n={len(shares)}"]
+    terms = [lagrange_term(participating, r, args.d).s for r in range(1, t + 1)]
+    total = sum(terms) % args.d
+    lines = [f"d={args.d} t={t} n={len(shares)}"]
     lines.extend(f"share: x={sh.x} y={sh.y}" for sh in shares)
     lines.extend(f"term s_{r} = {s}" for r, s in enumerate(terms, start=1))
     lines.append(f"sum of terms = {total}")
     doc = {
-        "d": config.d,
+        "d": args.d,
         "t": t,
         "n": len(shares),
         "shares": [{"x": sh.x, "y": sh.y} for sh in shares],
         "terms": terms,
         "sum": total,
     }
-    _emit(config, "\n".join(lines) + "\n", doc)
+    _emit(args, "\n".join(lines) + "\n", doc)
     return EXIT_OK
 
 
-def _simulate_params(config: CliConfig) -> ProtocolParams:
-    if (config.s_vector is not None) == (config.coeffs is not None):
+def _simulate_params(args: argparse.Namespace) -> ProtocolParams:
+    if (args.s_vector is not None) == (args.coeffs is not None):
         raise ConfigError("give exactly one of --s-vector or --secret-coeffs")
-    if config.s_vector is not None:
-        if config.xs is not None:
+    if args.s_vector is not None:
+        if args.xs is not None:
             raise ConfigError("--xs belongs to the --secret-coeffs path")
-        t = len(config.s_vector)
-        if config.t is not None and config.t != t:
-            raise ConfigError(f"--t {config.t} contradicts the {t}-entry --s-vector")
-        return ProtocolParams(d=config.d, t=t, n=config.n, s_vector=config.s_vector,
-                              seed=config.seed)
-    if config.xs is None:
+        t = len(args.s_vector)
+        if args.t is not None and args.t != t:
+            raise ConfigError(f"--t {args.t} contradicts the {t}-entry --s-vector")
+        return ProtocolParams(d=args.d, t=t, n=args.n, s_vector=args.s_vector,
+                              seed=args.seed)
+    if args.xs is None:
         raise ConfigError("--secret-coeffs requires --xs")
-    t = len(config.coeffs)
-    if config.t is not None and config.t != t:
-        raise ConfigError(f"--t {config.t} contradicts the {t}-coefficient polynomial")
-    if config.n is not None and config.n != len(config.xs):
-        raise ConfigError(f"--n {config.n} contradicts the {len(config.xs)} abscissae")
-    return ProtocolParams(d=config.d, t=t, polynomial=SharePolynomial(config.d, config.coeffs),
-                          abscissae=config.xs, seed=config.seed)
+    t = len(args.coeffs)
+    if args.t is not None and args.t != t:
+        raise ConfigError(f"--t {args.t} contradicts the {t}-coefficient polynomial")
+    if args.n is not None and args.n != len(args.xs):
+        raise ConfigError(f"--n {args.n} contradicts the {len(args.xs)} abscissae")
+    return ProtocolParams(d=args.d, t=t, polynomial=SharePolynomial(args.d, args.coeffs),
+                          abscissae=args.xs, seed=args.seed)
 
 
-def cmd_simulate(config: CliConfig) -> int:
-    if config.variant == PRODUCT_COUNTERFACTUAL:
-        if config.s_vector is None:
-            raise ConfigError("the product-counterfactual variant needs --s-vector")
-        s_total = sum(config.s_vector) % config.d
-        outcome = run_product_counterfactual(s_total, config.d, seed=config.seed)
-        lines = [
-            f"variant: {PRODUCT_COUNTERFACTUAL} d={config.d} seed={config.seed}",
-            f"single-qudit phase slope: {s_total}",
-            f"final outcome: {outcome}",
-            _verdict_line(outcome, s_total),
-        ]
-        doc = {
-            "variant": PRODUCT_COUNTERFACTUAL,
-            "d": config.d,
-            "seed": config.seed,
-            "s_total": s_total,
-            "outcome": outcome,
-            "verdict": "yes" if outcome == s_total else "no",
-        }
-        _emit(config, "\n".join(lines) + "\n", doc)
-        return EXIT_OK
-    params = _simulate_params(config)
-    run = run_song_original if config.variant == SONG_ORIGINAL else run_repaired_all_measure
-    transcript = run(params)
-    verdict = _verdict_line(transcript.final_outcome, transcript.expected_secret)
-    text = transcript.to_text() + verdict + "\n"
-    doc = {
-        "transcript": transcript.to_dict(),
-        "verdict": "yes" if transcript.final_outcome == transcript.expected_secret else "no",
-    }
-    _emit(config, text, doc)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    transcript = VARIANTS[args.variant].run(_simulate_params(args))
+    verdict = "yes" if transcript.final_outcome == transcript.expected_secret else "no"
+    text = transcript.to_text() + f"outcome == secret: {verdict}\n"
+    _emit(args, text, {"transcript": transcript.to_dict(), "verdict": verdict})
     return EXIT_OK
 
 
-def cmd_example(config: CliConfig) -> int:
-    split = config.s_vector if config.s_vector is not None else (3, 0, 0)
+def cmd_example(args: argparse.Namespace) -> int:
+    split = args.s_vector if args.s_vector is not None else (3, 0, 0)
     if len(split) != 3:
         raise ConfigError("the example split must have exactly three entries")
-    report = reproduce_example_d4(trials=config.trials, seed=config.seed, s_split=tuple(split))
-    _emit(config, report.to_text(), report.to_dict())
+    report = reproduce_example_d4(trials=args.trials, seed=args.seed, s_split=tuple(split))
+    _emit(args, report.to_text(), report.to_dict())
     return EXIT_OK
 
 
-def cmd_sweep(config: CliConfig) -> int:
-    if not 2 <= config.d_max <= SWEEP_D_MAX:
-        raise ConfigError(f"--d-max must be in [2, {SWEEP_D_MAX}], got {config.d_max}")
-    if not 1 <= config.t_max <= SWEEP_T_MAX:
-        raise ConfigError(f"--t-max must be in [1, {SWEEP_T_MAX}], got {config.t_max}")
-    if config.d_max**config.t_max > size_cap():
-        raise ConfigError(f"{config.d_max}^{config.t_max} amplitudes exceed the cap of {size_cap()}")
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if not 2 <= args.d_max <= SWEEP_D_MAX:
+        raise ConfigError(f"--d-max must be in [2, {SWEEP_D_MAX}], got {args.d_max}")
+    if not 1 <= args.t_max <= SWEEP_T_MAX:
+        raise ConfigError(f"--t-max must be in [1, {SWEEP_T_MAX}], got {args.t_max}")
+    if args.d_max**args.t_max > size_cap():
+        raise ConfigError(f"{args.d_max}^{args.t_max} amplitudes exceed the cap of {size_cap()}")
+    flow = VARIANTS[args.variant]
     entries = []
     cell = 0
-    for d in range(2, config.d_max + 1):
-        for t in range(1, config.t_max + 1):
-            rng = np.random.default_rng(derived_seed(config.seed, cell))
+    for d in range(2, args.d_max + 1):
+        for t in range(1, args.t_max + 1):
+            rng = np.random.default_rng(derived_seed(args.seed, cell))
             cell += 1
             s = tuple(int(v) for v in rng.integers(0, d, size=t))
-            params = ProtocolParams(d=d, t=t, s_vector=s, seed=config.seed)
-            if config.variant == SONG_ORIGINAL:
-                p = success_probability_exact(params)
-                expected = 1.0 if t == 1 else 1.0 / d
+            params = ProtocolParams(d=d, t=t, s_vector=s, seed=args.seed)
+            secret = params.expected_secret
+            dist = flow.distribution(params).probs
+            # A lone measurer on an entangled register sees a uniform outcome;
+            # every other flow returns the secret with certainty.
+            if not flow.all_measure and flow.params_for(params).t >= 2:
+                expected = np.full(d, 1.0 / d)
             else:
-                p = repaired_success_probability_exact(params)
-                expected = 1.0
-            if abs(p - expected) > SWEEP_TOL:
+                expected = np.eye(d)[secret]
+            deviation = float(np.max(np.abs(dist - expected)))
+            if deviation > SWEEP_TOL:
                 raise ReproductionError(
-                    f"d={d} t={t} s={s}: probability {p!r} != expected {expected!r}"
+                    f"d={d} t={t} s={s}: outcome distribution {dist.tolist()!r} "
+                    f"deviates from expected by {deviation!r}"
                 )
-            entries.append({"d": d, "t": t, "s": list(s), "p": p, "expected": expected})
-    lines = [f"variant: {config.variant} seed={config.seed}", " d  t  exact_p         expected"]
+            entries.append({
+                "d": d, "t": t, "s": list(s),
+                "p": float(dist[secret]), "expected": float(expected[secret]),
+            })
+    lines = [f"variant: {args.variant} seed={args.seed}", " d  t  exact_p         expected"]
     lines.extend(
         f"{e['d']:2d} {e['t']:2d}  {e['p']:<14.12g}  {e['expected']:.12g}" for e in entries
     )
     lines.append("all entries match expected: yes")
-    doc = {"variant": config.variant, "seed": config.seed, "entries": entries}
-    _emit(config, "\n".join(lines) + "\n", doc)
+    doc = {"variant": args.variant, "seed": args.seed, "entries": entries}
+    _emit(args, "\n".join(lines) + "\n", doc)
     return EXIT_OK
 
 
@@ -303,9 +231,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
+    if args.random_seed:
+        args.seed = secrets.randbits(63)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except NotInvertible as exc:
         print(f"error: modular division impossible: {exc}", file=sys.stderr)
         return EXIT_NOT_INVERTIBLE

@@ -8,7 +8,7 @@ nonzero and distinct, never silently reduced.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 MAX_MODULUS = 1 << 16
@@ -36,11 +36,17 @@ def _check_modulus(d: int) -> None:
         raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {d}")
 
 
-def _check_abscissa(x: int, d: int) -> None:
-    if x == 0:
-        raise ZeroAbscissa("abscissa 0 is reserved for the secret")
-    if not 1 <= x < d:
-        raise ValueError(f"abscissa must be in [1, {d}), got {x}")
+def _check_abscissae(xs: Iterable[int], d: int) -> None:
+    """Every abscissa is a nonzero residue in [1, d), and no two are equal."""
+    seen: set[int] = set()
+    for x in xs:
+        if x == 0:
+            raise ZeroAbscissa("abscissa 0 is reserved for the secret")
+        if not 1 <= x < d:
+            raise ValueError(f"abscissa must be in [1, {d}), got {x}")
+        if x in seen:
+            raise DuplicateAbscissa(f"abscissa {x} appears twice")
+        seen.add(x)
 
 
 @dataclass(frozen=True)
@@ -119,24 +125,13 @@ def eval_poly(p: SharePolynomial, x: int) -> int:
 
 def gen_shares(p: SharePolynomial, xs: Sequence[int]) -> list[Share]:
     """One share (x, f(x)) per abscissa; abscissae must be distinct and nonzero."""
-    shares: list[Share] = []
-    seen: set[int] = set()
-    for x in xs:
-        _check_abscissa(x, p.d)
-        if x in seen:
-            raise DuplicateAbscissa(f"abscissa {x} appears twice")
-        seen.add(x)
-        shares.append(Share(x, eval_poly(p, x)))
-    return shares
+    _check_abscissae(xs, p.d)
+    return [Share(x, eval_poly(p, x)) for x in xs]
 
 
 def _check_share_set(shares: Sequence[Share], d: int) -> None:
-    seen: set[int] = set()
+    _check_abscissae((sh.x for sh in shares), d)
     for sh in shares:
-        _check_abscissa(sh.x, d)
-        if sh.x in seen:
-            raise DuplicateAbscissa(f"abscissa {sh.x} appears twice")
-        seen.add(sh.x)
         if not 0 <= sh.y < d:
             raise ValueError(f"share value must be in [0, {d}), got {sh.y}")
 

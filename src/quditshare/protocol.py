@@ -1,14 +1,17 @@
 """Reconstruction-protocol runs over an ideal authenticated channel.
 
-Variants:
+Every variant shares one flow. The first agent prepares a GHZ state and
+distributes one qudit per agent; every agent encodes its Lagrange term as a
+diagonal phase; then the variant's measurers Fourier-invert and measure, and
+the final outcome is the sum of their results mod d. VARIANTS maps each name
+to that flow, which gives one runner and one exact outcome distribution.
 
-- song-original: the published flow. The first agent prepares a GHZ state and
-  distributes one qudit per agent; every agent encodes its Lagrange term as a
-  diagonal phase; only the first agent Fourier-inverts and measures, receiving
-  no announcements. Its outcome is uniform over Z_d, so the secret is
-  recovered with probability exactly 1/d.
-- product-counterfactual: the same inversion on a single unentangled qudit,
-  where it does return the encoded phase slope with certainty.
+- song-original: the published flow. Only the first agent inverts and
+  measures, receiving no announcements. Its outcome is uniform over Z_d, so
+  the secret is recovered with probability exactly 1/d.
+- product-counterfactual: the same lone measurer on a single unentangled
+  qudit carrying the summed phase, where it does return the secret with
+  certainty.
 - repaired: a diagnostic (non-published) variant in which every agent
   Fourier-inverts, measures, and announces; the announced results sum to the
   secret mod d on every run.
@@ -26,17 +29,24 @@ import numpy as np
 
 from .modmath import (
     SharePolynomial,
-    _check_abscissa,
+    _check_abscissae,
     _check_modulus,
     gen_shares,
     lagrange_term,
 )
-from .qudit_sim import QuditRegister, apply_local, make_ghz, measure, phase_gate, qft_inv
+from .qudit_sim import (
+    MarginalDistribution,
+    QuditRegister,
+    apply_local,
+    make_ghz,
+    measure,
+    phase_gate,
+    qft_inv,
+)
 
 SONG_ORIGINAL = "song-original"
 PRODUCT_COUNTERFACTUAL = "product-counterfactual"
 REPAIRED = "repaired"
-VARIANTS = (SONG_ORIGINAL, PRODUCT_COUNTERFACTUAL, REPAIRED)
 
 FOURIER_BASIS = "fourier"
 
@@ -169,12 +179,7 @@ class ProtocolParams:
                 raise ValueError("polynomial modulus does not match d")
             if self.polynomial.threshold != self.t:
                 raise ValueError("polynomial degree+1 does not match threshold t")
-            seen: set[int] = set()
-            for x in self.abscissae:
-                _check_abscissa(x, self.d)
-                if x in seen:
-                    raise ValueError(f"abscissa {x} appears twice")
-                seen.add(x)
+            _check_abscissae(self.abscissae, self.d)
             if self.n is None:
                 object.__setattr__(self, "n", len(self.abscissae))
             if self.n != len(self.abscissae):
@@ -227,40 +232,103 @@ def post_encoding_state(params: ProtocolParams) -> QuditRegister:
     return reg
 
 
+@dataclass(frozen=True)
+class Variant:
+    """One reconstruction flow: who Fourier-inverts and measures, and on what.
+
+    The lone measurer is agent 1; with all_measure every agent inverts,
+    measures and announces. A product flow runs on one unentangled qudit
+    carrying the summed phase instead of the shared GHZ register.
+    """
+
+    name: str
+    all_measure: bool
+    product: bool = False
+
+    def params_for(self, params: ProtocolParams) -> ProtocolParams:
+        """The parameters of the register this flow actually runs on."""
+        if self.product:
+            return ProtocolParams(params.d, 1, s_vector=(params.expected_secret,), seed=params.seed)
+        return params
+
+    def measurers(self, t: int) -> range:
+        return range(1, t + 1 if self.all_measure else 2)
+
+    def run(self, params: ProtocolParams) -> Transcript:
+        """One seeded run; the final outcome is the measured results' sum mod d."""
+        params = self.params_for(params)
+        reg, events = _encode(params)
+        f = qft_inv(params.d)
+        rng = np.random.default_rng(params.seed)
+        total = 0
+        for r in self.measurers(params.t):
+            reg = apply_local(reg, r, f)
+            m_r, reg = measure(reg, r, rng)
+            events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
+            if self.all_measure:
+                events.append(Announced(agent=r, value=m_r))
+            total += m_r
+        return Transcript(
+            variant=self.name,
+            d=params.d,
+            t=params.t,
+            seed=params.seed,
+            events=tuple(events),
+            final_outcome=total % params.d,
+            expected_secret=params.expected_secret,
+        )
+
+    def distribution(self, params: ProtocolParams) -> MarginalDistribution:
+        """Exact distribution of the final outcome over Z_d.
+
+        Fourier-inverts the measured qudits, sums |amps|^2 over the unmeasured
+        axes, and bins the measured digits' sum mod d. For the lone measurer
+        this is marginal(reg, 1), bit for bit.
+        """
+        params = self.params_for(params)
+        d, t = params.d, params.t
+        measured = self.measurers(t)
+        reg = post_encoding_state(params)
+        f = qft_inv(d)
+        for r in measured:
+            reg = apply_local(reg, r, f)
+        probs = np.abs(reg.amps.reshape((d,) * t)) ** 2
+        others = tuple(i for i in range(t) if i + 1 not in measured)
+        if others:
+            probs = probs.sum(axis=others)
+        digit_sums = np.zeros(1, dtype=np.intp)
+        for _ in measured:
+            digit_sums = np.add.outer(digit_sums, np.arange(d)).reshape(-1) % d
+        return MarginalDistribution(np.bincount(digit_sums, weights=probs.reshape(-1), minlength=d))
+
+
+VARIANTS: dict[str, Variant] = {
+    v.name: v
+    for v in (
+        Variant(SONG_ORIGINAL, all_measure=False),
+        Variant(PRODUCT_COUNTERFACTUAL, all_measure=False, product=True),
+        Variant(REPAIRED, all_measure=True),
+    )
+}
+
+
 def run_song_original(params: ProtocolParams) -> Transcript:
     """Published flow: only agent 1 Fourier-inverts and measures.
 
     The final outcome is agent 1's measurement result; it matches the secret
     with probability exactly 1/d once t >= 2 (the register stays entangled).
     """
-    reg, events = _encode(params)
-    reg = apply_local(reg, 1, qft_inv(params.d))
-    outcome, _ = measure(reg, 1, np.random.default_rng(params.seed))
-    events.append(Measured(agent=1, basis=FOURIER_BASIS, outcome=outcome))
-    return Transcript(
-        variant=SONG_ORIGINAL,
-        d=params.d,
-        t=params.t,
-        seed=params.seed,
-        events=tuple(events),
-        final_outcome=outcome,
-        expected_secret=params.expected_secret,
-    )
+    return VARIANTS[SONG_ORIGINAL].run(params)
 
 
 def run_product_counterfactual(s_total: int, d: int, seed: int = DEFAULT_SEED) -> int:
     """Fourier inversion on one unentangled qudit carrying phase slope s_total.
 
-    Builds (1/sqrt d) * sum_k w^(s_total*k) |k>, inverts, measures; returns
-    s_total with certainty. This is the only setting where the lone
+    Returns s_total with certainty. This is the only setting where the lone
     measurement recovers the encoded sum.
     """
-    if not 0 <= s_total < d:
-        raise ValueError(f"phase slope must be in [0, {d}), got {s_total}")
-    reg = apply_local(make_ghz(d, 1), 1, phase_gate(d, s_total))
-    reg = apply_local(reg, 1, qft_inv(d))
-    outcome, _ = measure(reg, 1, np.random.default_rng(seed))
-    return outcome
+    params = ProtocolParams(d, 1, s_vector=(s_total,), seed=seed)
+    return VARIANTS[PRODUCT_COUNTERFACTUAL].run(params).final_outcome
 
 
 def run_repaired_all_measure(params: ProtocolParams) -> Transcript:
@@ -269,21 +337,4 @@ def run_repaired_all_measure(params: ProtocolParams) -> Transcript:
     The final outcome is the announced sum mod d, which equals the expected
     secret on every seed.
     """
-    reg, events = _encode(params)
-    rng = np.random.default_rng(params.seed)
-    results: list[int] = []
-    for r in range(1, params.t + 1):
-        reg = apply_local(reg, r, qft_inv(params.d))
-        m_r, reg = measure(reg, r, rng)
-        events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
-        events.append(Announced(agent=r, value=m_r))
-        results.append(m_r)
-    return Transcript(
-        variant=REPAIRED,
-        d=params.d,
-        t=params.t,
-        seed=params.seed,
-        events=tuple(events),
-        final_outcome=sum(results) % params.d,
-        expected_secret=params.expected_secret,
-    )
+    return VARIANTS[REPAIRED].run(params)

@@ -40,8 +40,11 @@ class ZeroNormProjection(ArithmeticError):
 
 
 def size_cap() -> int:
-    """Current amplitude-count cap; override with the QUDITSHARE_SIZE_CAP env var."""
-    return int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+    """Current amplitude-count cap; override with a positive integer in QUDITSHARE_SIZE_CAP."""
+    raw = os.environ.get(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"{SIZE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_size(d: int, t: int) -> None:
@@ -215,7 +218,10 @@ def measure(
     renormalized post-measurement register.
     """
     probs = marginal(reg, q).probs
-    v = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    cumsum = np.cumsum(probs)
+    # Scaling by the top keeps every draw in [0, 1) off branches of zero
+    # probability, even when rounding leaves the top just below 1.
+    v = int(np.searchsorted(cumsum, rng.random() * cumsum[-1], side="right"))
     v = min(v, reg.d - 1)
     if probs[v] < PRUNE_TOL:
         raise ZeroNormProjection(

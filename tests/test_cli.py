@@ -7,6 +7,7 @@ import pytest
 from quditshare import cli
 from quditshare.analysis import ReproductionError, reproduce_example_d4
 from quditshare.cli import main
+from quditshare.protocol import VARIANTS
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,28 @@ def test_simulate_counterfactual_needs_s_vector(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_simulate_every_variant_structured(capsys, variant):
+    rc, out, _ = run_cli(
+        capsys, "simulate", "--variant", variant, "--d", "4", "--s-vector", "3,0,0",
+        "--seed", "3", "--format", "structured",
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    tr = doc["transcript"]
+    assert tr["variant"] == variant
+    assert doc["verdict"] == ("yes" if tr["final_outcome"] == tr["expected_secret"] else "no")
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_invalid_size_cap_env_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("QUDITSHARE_SIZE_CAP", value)
+    rc, out, err = run_cli(capsys, "simulate", "--d", "4", "--s-vector", "3,0,0")
+    assert rc == 2
+    assert out == ""
+    assert "QUDITSHARE_SIZE_CAP" in err
+
+
 def test_simulate_size_cap_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("QUDITSHARE_SIZE_CAP", "16")
     rc, _, err = run_cli(capsys, "simulate", "--d", "4", "--s-vector", "3,0,0")
@@ -222,6 +245,13 @@ def test_sweep_repaired_all_ones(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert all(e["p"] == pytest.approx(1.0, abs=1e-10) for e in doc["entries"])
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_sweep_every_variant(capsys, variant):
+    rc, out, _ = run_cli(capsys, "sweep", "--d-max", "3", "--t-max", "2", "--variant", variant)
+    assert rc == 0
+    assert out.rstrip().endswith("all entries match expected: yes")
 
 
 def test_sweep_text_table(capsys):

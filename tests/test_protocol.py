@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditshare.modmath import NotInvertible, SharePolynomial
+from quditshare.modmath import DuplicateAbscissa, NotInvertible, SharePolynomial
 from quditshare.protocol import (
+    PRODUCT_COUNTERFACTUAL,
     REPAIRED,
     SONG_ORIGINAL,
+    VARIANTS,
     Announced,
     GateApplied,
     Measured,
@@ -20,7 +24,15 @@ from quditshare.protocol import (
     run_repaired_all_measure,
     run_song_original,
 )
-from quditshare.qudit_sim import SizeCapExceeded, apply_local, make_ghz, phase_gate
+from quditshare.qudit_sim import (
+    SizeCapExceeded,
+    apply_local,
+    joint_distribution,
+    make_ghz,
+    marginal,
+    phase_gate,
+    qft_inv,
+)
 
 
 def d4_params(seed=0):
@@ -52,7 +64,7 @@ def test_params_validate_polynomial_path():
         ProtocolParams(d=7, t=2, polynomial=poly, abscissae=(1, 2))
     with pytest.raises(ValueError):
         ProtocolParams(d=5, t=3, polynomial=poly, abscissae=(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateAbscissa):
         ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 1))
     with pytest.raises(ValueError):
         ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 2), n=5)
@@ -192,6 +204,62 @@ def test_repaired_always_recovers_secret():
 def test_repaired_single_agent():
     tr = run_repaired_all_measure(ProtocolParams(d=5, t=1, s_vector=(4,), seed=2))
     assert tr.final_outcome == 4
+
+
+# registry against the dense oracle ---------------------------------------------------
+
+def _lone_oracle(params):
+    return marginal(apply_local(post_encoding_state(params), 1, qft_inv(params.d)), 1).probs
+
+
+def _product_oracle(params):
+    d = params.d
+    reg = apply_local(make_ghz(d, 1), 1, phase_gate(d, params.expected_secret))
+    return marginal(apply_local(reg, 1, qft_inv(d)), 1).probs
+
+
+def _all_measure_oracle(params):
+    reg = post_encoding_state(params)
+    for r in range(1, params.t + 1):
+        reg = apply_local(reg, r, qft_inv(params.d))
+    probs = np.zeros(params.d)
+    for digits, p in joint_distribution(reg).entries.items():
+        probs[sum(digits) % params.d] += p
+    return probs
+
+
+ORACLES = {
+    SONG_ORIGINAL: _lone_oracle,
+    PRODUCT_COUNTERFACTUAL: _product_oracle,
+    REPAIRED: _all_measure_oracle,
+}
+
+
+@st.composite
+def s_vector_params(draw):
+    # every (d, t) with d^t <= 4096; d <= 64 keeps the dense d x d gates cheap
+    t = draw(st.integers(1, 12))
+    d_max = 2
+    while (d_max + 1) ** t <= 4096 and d_max < 64:
+        d_max += 1
+    d = draw(st.integers(2, d_max))
+    s_vec = draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
+    return ProtocolParams(d=d, t=t, s_vector=tuple(s_vec))
+
+
+def test_every_variant_has_an_oracle():
+    assert set(VARIANTS) == set(ORACLES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=s_vector_params())
+def test_registry_distribution_matches_dense_oracle(params):
+    for name, flow in VARIANTS.items():
+        probs = flow.distribution(params).probs
+        oracle = ORACLES[name](params)
+        assert np.max(np.abs(probs - oracle)) <= 1e-12, name
+        if not flow.all_measure:
+            assert np.array_equal(probs, oracle), name  # the lone measurer is marginal, bit for bit
 
 
 # post-encoding state ----------------------------------------------------------------

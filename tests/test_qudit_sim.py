@@ -322,6 +322,18 @@ def test_measure_zero_norm_projection_guard():
         measure(basis_state(2, 1, (0,)), 1, OverrunRng())
 
 
+def test_measure_largest_draw_stays_on_supported_branch():
+    class TopRng:
+        def random(self):
+            return float(np.nextafter(1.0, 0.0))  # the largest value Generator.random returns
+
+    reg = QuditRegister(3, 1, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    assert np.cumsum(marginal(reg, 1).probs)[-1] < 1.0  # rounding leaves the top below 1
+    outcome, post = measure(reg, 1, TopRng())
+    assert outcome == 1
+    assert post.isclose(basis_state(3, 1, (1,)))
+
+
 # joint_distribution ---------------------------------------------------------------
 
 def test_joint_of_ghz_pair():
