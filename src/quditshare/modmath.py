@@ -8,6 +8,7 @@ nonzero and distinct, never silently reduced.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -36,10 +37,19 @@ def _check_modulus(d: int) -> None:
         raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {d}")
 
 
+def _as_int(value: object, what: str) -> int:
+    """value as an int (numpy integers included); ValueError for floats and the like."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_abscissae(xs: Iterable[int], d: int) -> None:
-    """Every abscissa is a nonzero residue in [1, d), and no two are equal."""
+    """Every abscissa is a nonzero integer residue in [1, d), and no two are equal."""
     seen: set[int] = set()
     for x in xs:
+        x = _as_int(x, "abscissa")
         if x == 0:
             raise ZeroAbscissa("abscissa 0 is reserved for the secret")
         if not 1 <= x < d:
@@ -58,7 +68,7 @@ class SharePolynomial:
 
     def __post_init__(self):
         _check_modulus(self.d)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_as_int(a, "coefficient") for a in self.coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("need at least one coefficient")
         if any(not 0 <= a < self.d for a in self.coeffs):

@@ -2,9 +2,9 @@
 
 Every variant shares one flow. The first agent prepares a GHZ state and
 distributes one qudit per agent; every agent encodes its Lagrange term as a
-diagonal phase; then the variant's measurers Fourier-invert and measure, and
-the final outcome is the sum of their results mod d. VARIANTS maps each name
-to that flow, which gives one runner and one exact outcome distribution.
+diagonal phase; the variant's measurers Fourier-invert (Variant.transformed),
+then measure (Variant.draw), and the final outcome is the sum of their results
+mod d. The runner, the exact distribution and Monte Carlo share those steps.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -23,12 +23,13 @@ runs should use derived_seed(seed, index) so results are order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .modmath import (
     SharePolynomial,
+    _as_int,
     _check_abscissae,
     _check_modulus,
     gen_shares,
@@ -185,7 +186,8 @@ class ProtocolParams:
             if self.n != len(self.abscissae):
                 raise ValueError("n does not match the number of abscissae")
         else:
-            object.__setattr__(self, "s_vector", tuple(self.s_vector))
+            terms = tuple(_as_int(s, "s_vector entry") for s in self.s_vector)
+            object.__setattr__(self, "s_vector", terms)
             if len(self.s_vector) != self.t:
                 raise ValueError("s_vector length must equal the threshold t")
             if any(not 0 <= s < self.d for s in self.s_vector):
@@ -208,9 +210,6 @@ class ProtocolParams:
         if self.polynomial is not None:
             return self.polynomial.secret
         return sum(self.s_vector) % self.d
-
-    def with_seed(self, seed: int) -> "ProtocolParams":
-        return replace(self, seed=seed)
 
 
 def _encode(params: ProtocolParams) -> tuple[QuditRegister, list[ProtocolEvent]]:
@@ -254,44 +253,51 @@ class Variant:
     def measurers(self, t: int) -> range:
         return range(1, t + 1 if self.all_measure else 2)
 
+    def transformed(self, params: ProtocolParams) -> tuple[QuditRegister, list[ProtocolEvent]]:
+        """The encoded flow register with every measurer's qudit Fourier-inverted."""
+        reg, events = _encode(self.params_for(params))
+        f = qft_inv(reg.d)
+        for r in self.measurers(reg.t):
+            reg = apply_local(reg, r, f)
+        return reg, events
+
+    def draw(self, reg: QuditRegister, rng: np.random.Generator) -> list[int]:
+        """Measure each measurer's qudit in agent order; inverting all first changes no outcome."""
+        outcomes = []
+        for r in self.measurers(reg.t):
+            m_r, reg = measure(reg, r, rng)
+            outcomes.append(m_r)
+        return outcomes
+
     def run(self, params: ProtocolParams) -> Transcript:
         """One seeded run; the final outcome is the measured results' sum mod d."""
+        reg, events = self.transformed(params)
         params = self.params_for(params)
-        reg, events = _encode(params)
-        f = qft_inv(params.d)
-        rng = np.random.default_rng(params.seed)
-        total = 0
-        for r in self.measurers(params.t):
-            reg = apply_local(reg, r, f)
-            m_r, reg = measure(reg, r, rng)
+        outcomes = self.draw(reg, np.random.default_rng(params.seed))
+        for r, m_r in zip(self.measurers(params.t), outcomes):
             events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
             if self.all_measure:
                 events.append(Announced(agent=r, value=m_r))
-            total += m_r
         return Transcript(
             variant=self.name,
             d=params.d,
             t=params.t,
             seed=params.seed,
             events=tuple(events),
-            final_outcome=total % params.d,
+            final_outcome=sum(outcomes) % params.d,
             expected_secret=params.expected_secret,
         )
 
     def distribution(self, params: ProtocolParams) -> MarginalDistribution:
         """Exact distribution of the final outcome over Z_d.
 
-        Fourier-inverts the measured qudits, sums |amps|^2 over the unmeasured
-        axes, and bins the measured digits' sum mod d. For the lone measurer
-        this is marginal(reg, 1), bit for bit.
+        Sums the transformed register's |amps|^2 over the unmeasured axes and
+        bins the measured digits' sum mod d. For the lone measurer this is
+        marginal(reg, 1), bit for bit.
         """
-        params = self.params_for(params)
-        d, t = params.d, params.t
+        reg, _ = self.transformed(params)
+        d, t = reg.d, reg.t
         measured = self.measurers(t)
-        reg = post_encoding_state(params)
-        f = qft_inv(d)
-        for r in measured:
-            reg = apply_local(reg, r, f)
         probs = np.abs(reg.amps.reshape((d,) * t)) ** 2
         others = tuple(i for i in range(t) if i + 1 not in measured)
         if others:

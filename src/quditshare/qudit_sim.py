@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modmath import _as_int
+
 DEFAULT_SIZE_CAP = 1 << 22  # amplitudes
 SIZE_CAP_ENV = "QUDITSHARE_SIZE_CAP"
 
@@ -42,9 +44,13 @@ class ZeroNormProjection(ArithmeticError):
 def size_cap() -> int:
     """Current amplitude-count cap; override with a positive integer in QUDITSHARE_SIZE_CAP."""
     raw = os.environ.get(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
-    if not raw.strip().isdigit() or int(raw) < 1:
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
         raise ValueError(f"{SIZE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
+    return cap
 
 
 def _check_size(d: int, t: int) -> None:
@@ -80,15 +86,14 @@ def basis_label(digits: tuple[int, ...], d: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class QuditRegister:
-    """Normalized pure state of t qudits; amps has length d**t and unit norm."""
+    """Normalized pure state of t qudits; amps has length d**t <= size_cap() and unit norm."""
 
     d: int
     t: int
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.d < 2 or self.t < 1:
-            raise ValueError("need d >= 2 and t >= 1")
+        _check_size(self.d, self.t)
         amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
         if amps.size != self.d**self.t:
             raise ValueError(f"expected {self.d ** self.t} amplitudes, got {amps.size}")
@@ -164,6 +169,7 @@ def make_ghz(d: int, t: int) -> QuditRegister:
 
 def phase_gate(d: int, s: int) -> LocalUnitary:
     """Diagonal gate |k> -> w^(s*k) |k| with w = exp(2*pi*i/d)."""
+    s = _as_int(s, "phase exponent")
     if not 0 <= s < d:
         raise ValueError(f"phase exponent must be in [0, {d}), got {s}")
     k = np.arange(d)
@@ -238,8 +244,6 @@ def measure(
 
 def joint_distribution(reg: QuditRegister) -> JointDistribution:
     """All outcome tuples with probability above PRUNE_TOL, in basis order."""
-    if reg.amps.size > size_cap():
-        raise SizeCapExceeded(f"{reg.amps.size} amplitudes exceed the cap of {size_cap()}")
     probs = np.abs(reg.amps) ** 2
     entries = {
         basis_digits(int(i), reg.d, reg.t): float(probs[i])

@@ -1,11 +1,15 @@
 """Reference-example reproduction, success statistics, amplitude tables."""
 
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quditshare import protocol
 from quditshare.analysis import (
     amplitude_table,
     outcome_marginal,
@@ -15,7 +19,7 @@ from quditshare.analysis import (
     success_probability_mc,
     verify_reference_states,
 )
-from quditshare.protocol import REPAIRED, ProtocolParams
+from quditshare.protocol import REPAIRED, VARIANTS, ProtocolParams, derived_seed
 from quditshare.qudit_sim import make_ghz, measure
 
 
@@ -136,6 +140,42 @@ def test_mc_single_agent_is_exact():
 def test_mc_repaired_variant_is_exact():
     estimate, _ = success_probability_mc(d4_params(), trials=300, seed=4, variant=REPAIRED)
     assert estimate == 1.0
+
+
+@st.composite
+def _mc_case(draw):
+    d = draw(st.integers(2, 16))
+    t = draw(st.integers(1, 4).filter(lambda t: d**t <= 512))
+    s = draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
+    return ProtocolParams(d=d, t=t, s_vector=tuple(s))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    params=_mc_case(),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    variant=st.sampled_from(list(VARIANTS)),
+)
+def test_mc_matches_one_run_per_trial(params, trials, seed, variant):
+    hits = 0
+    for i in range(trials):
+        tr = VARIANTS[variant].run(dataclasses.replace(params, seed=derived_seed(seed, i)))
+        hits += tr.final_outcome == tr.expected_secret
+    assert success_probability_mc(params, trials, seed, variant)[0] == hits / trials
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_mc_prepares_the_register_once(monkeypatch, variant):
+    calls = []
+
+    def counting_make_ghz(d, t):
+        calls.append((d, t))
+        return make_ghz(d, t)
+
+    monkeypatch.setattr(protocol, "make_ghz", counting_make_ghz)
+    success_probability_mc(d4_params(), trials=25, seed=3, variant=variant)
+    assert len(calls) == 1
 
 
 def test_mc_validates_arguments():

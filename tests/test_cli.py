@@ -162,7 +162,7 @@ def test_simulate_every_variant_structured(capsys, variant):
     assert doc["verdict"] == ("yes" if tr["final_outcome"] == tr["expected_secret"] else "no")
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "²"])
 def test_invalid_size_cap_env_exit_2(capsys, monkeypatch, value):
     monkeypatch.setenv("QUDITSHARE_SIZE_CAP", value)
     rc, out, err = run_cli(capsys, "simulate", "--d", "4", "--s-vector", "3,0,0")

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,8 @@ def test_gen_shares_rejects_duplicates_and_zero():
         gen_shares(p, [0, 1])
     with pytest.raises(ValueError):
         gen_shares(p, [1, 5])
+    with pytest.raises(ValueError):
+        gen_shares(p, [1, 2.5])
 
 
 # lagrange_term / reconstruct_classical -------------------------------------
@@ -236,6 +239,9 @@ def test_share_polynomial_validation():
         SharePolynomial(5, ())
     with pytest.raises(ValueError):
         SharePolynomial(5, (5,))
+    with pytest.raises(ValueError):
+        SharePolynomial(7, (1.5, 2))
+    assert SharePolynomial(7, (np.int64(3), 2)).coeffs == (3, 2)
     p = SharePolynomial(MAX_MODULUS, [1, 2])
     assert p.coeffs == (1, 2)
     assert p.threshold == 2

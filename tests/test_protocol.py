@@ -56,6 +56,9 @@ def test_params_validate_s_vector():
         ProtocolParams(d=4, t=2, s_vector=(1, 4))
     with pytest.raises(ValueError):
         ProtocolParams(d=4, t=2, s_vector=(1, 2, 3))
+    with pytest.raises(ValueError):
+        ProtocolParams(d=4, t=1, s_vector=(1.5,))
+    assert ProtocolParams(d=4, t=1, s_vector=(np.int64(3),)).expected_secret == 3
 
 
 def test_params_validate_polynomial_path():
@@ -68,6 +71,8 @@ def test_params_validate_polynomial_path():
         ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 1))
     with pytest.raises(ValueError):
         ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 2), n=5)
+    with pytest.raises(ValueError):
+        ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 2.0))
     params = ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 2, 3))
     assert params.n == 3
 

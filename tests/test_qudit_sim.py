@@ -115,6 +115,13 @@ def test_size_cap_env_override(monkeypatch):
     make_ghz(2, 3)
 
 
+def test_register_constructor_enforces_size_cap(monkeypatch):
+    monkeypatch.setenv(SIZE_CAP_ENV, "16")
+    with pytest.raises(SizeCapExceeded):
+        QuditRegister(2, 5, np.full(32, 32**-0.5))
+    QuditRegister(2, 4, np.full(16, 0.25))
+
+
 def test_make_ghz_rejects_bad_args():
     with pytest.raises(ValueError):
         make_ghz(1, 2)
@@ -142,6 +149,8 @@ def test_phase_gate_rejects_out_of_range():
         phase_gate(4, 4)
     with pytest.raises(ValueError):
         phase_gate(4, -1)
+    with pytest.raises(ValueError):
+        phase_gate(4, 1.5)
 
 
 # qft_inv / qft ---------------------------------------------------------------
