@@ -77,4 +77,4 @@ from .qudit_sim import (
     size_cap,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -13,7 +13,6 @@ from .protocol import (
     SONG_ORIGINAL,
     VARIANTS,
     ProtocolParams,
-    derived_seed,
     post_encoding_state,
 )
 from .qudit_sim import (
@@ -26,6 +25,8 @@ from .qudit_sim import (
     marginal,
     qft_inv,
 )
+
+MC_CHUNK = 1 << 16  # Monte-Carlo trials drawn at once; bounds memory for any trial count
 
 # Built-in reference example: d=4, t=3, secret 3, w = exp(2*pi*i/4) = i.
 # Encoded register: (1/2) * sum_k w^(3k) |kkk>, branch phases w^(3k) below.
@@ -96,11 +97,12 @@ def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
     """Tabulate every amplitude of modulus >= PRUNE_TOL, in basis order."""
     rows = []
     total = 0.0
-    for i, a in enumerate(reg.amps):
+    # Visit only the kept rows; summing their scalar moduli in basis order keeps
+    # norm_check's bits, which a vectorised sum can move by an ulp.
+    for i in np.flatnonzero(np.abs(reg.amps) >= PRUNE_TOL):
+        a = reg.amps[i]
         mag = abs(a)
-        if mag < PRUNE_TOL:
-            continue
-        rows.append((basis_label(basis_digits(i, reg.d, reg.t), reg.d), float(a.real), float(a.imag)))
+        rows.append((basis_label(basis_digits(int(i), reg.d, reg.t), reg.d), float(a.real), float(a.imag)))
         total += mag * mag
     return AmplitudeTable(d=reg.d, t=reg.t, rows=tuple(rows), norm_check=total)
 
@@ -132,8 +134,9 @@ def success_probability_mc(
 ) -> tuple[float, float]:
     """Sampled success fraction and its binomial standard error.
 
-    The flow is transformed once and trial i only draws, with a generator
-    seeded by derived_seed(seed, i): the same estimate as one run per trial.
+    The flow is transformed once; each trial is one uniform of a single
+    default_rng(seed) stream, inverted on the measurers' outcome table and drawn
+    MC_CHUNK at a time, so the estimate is that of `trials` one-trial draws.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -141,10 +144,11 @@ def success_probability_mc(
         raise ValueError(f"unknown variant {variant!r}")
     flow = VARIANTS[variant]
     reg, _ = flow.transformed(params)
+    rng = np.random.default_rng(seed)
     hits = 0
-    for i in range(trials):
-        outcomes = flow.draw(reg, np.random.default_rng(derived_seed(seed, i)))
-        hits += sum(outcomes) % params.d == params.expected_secret
+    for start in range(0, trials, MC_CHUNK):
+        outcomes = flow.draw(reg, rng, min(MC_CHUNK, trials - start))
+        hits += int(np.count_nonzero(outcomes.sum(axis=1) % params.d == params.expected_secret))
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

@@ -2,9 +2,10 @@
 
 Every variant shares one flow. The first agent prepares a GHZ state and
 distributes one qudit per agent; every agent encodes its Lagrange term as a
-diagonal phase; the variant's measurers Fourier-invert (Variant.transformed),
-then measure (Variant.draw), and the final outcome is the sum of their results
-mod d. The runner, the exact distribution and Monte Carlo share those steps.
+diagonal phase; the variant's measurers Fourier-invert (Variant.transformed)
+and measure, and the final outcome is the sum of their results mod d. One
+Born table of the measurers' joint outcome (Variant.outcome_table) gives the
+exact distribution and every draw, of the runner and of Monte Carlo alike.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -17,8 +18,7 @@ mod d. The runner, the exact distribution and Monte Carlo share those steps.
   secret mod d on every run.
 
 The channel is ideal (no loss, no adversary); transfers exist only as
-transcript events. Runs are deterministic given (params, seed); concurrent
-runs should use derived_seed(seed, index) so results are order-independent.
+transcript events. Runs are deterministic given (params, seed).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .qudit_sim import (
     MarginalDistribution,
     QuditRegister,
     apply_local,
+    inverse_cdf,
     make_ghz,
-    measure,
     phase_gate,
     qft_inv,
 )
@@ -56,7 +56,7 @@ DEFAULT_SEED = 12345
 
 
 def derived_seed(seed: int, index: int) -> int:
-    """Per-trial seed from (seed, index); stable across run order and platforms."""
+    """Seed of sweep cell index; Monte Carlo draws from one stream instead (uint32s collide)."""
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
@@ -261,19 +261,27 @@ class Variant:
             reg = apply_local(reg, r, f)
         return reg, events
 
-    def draw(self, reg: QuditRegister, rng: np.random.Generator) -> list[int]:
-        """Measure each measurer's qudit in agent order; inverting all first changes no outcome."""
-        outcomes = []
-        for r in self.measurers(reg.t):
-            m_r, reg = measure(reg, r, rng)
-            outcomes.append(m_r)
-        return outcomes
+    def outcome_table(self, reg: QuditRegister) -> np.ndarray:
+        """Born probabilities of the measurers' joint outcome, one axis per measurer.
+
+        For the lone measurer this is marginal(reg, 1).probs, bit for bit.
+        """
+        measured = self.measurers(reg.t)
+        probs = np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
+        others = tuple(i for i in range(reg.t) if i + 1 not in measured)
+        return probs.sum(axis=others) if others else probs
+
+    def draw(self, reg: QuditRegister, rng: np.random.Generator, trials: int = 1) -> np.ndarray:
+        """(trials, measurers) outcomes in agent order, one uniform of rng per trial."""
+        table = self.outcome_table(reg)
+        flat = inverse_cdf(table.reshape(-1), rng.random(trials))
+        return np.stack(np.unravel_index(flat, table.shape), axis=-1)
 
     def run(self, params: ProtocolParams) -> Transcript:
         """One seeded run; the final outcome is the measured results' sum mod d."""
         reg, events = self.transformed(params)
         params = self.params_for(params)
-        outcomes = self.draw(reg, np.random.default_rng(params.seed))
+        outcomes = self.draw(reg, np.random.default_rng(params.seed))[0].tolist()
         for r, m_r in zip(self.measurers(params.t), outcomes):
             events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
             if self.all_measure:
@@ -289,23 +297,14 @@ class Variant:
         )
 
     def distribution(self, params: ProtocolParams) -> MarginalDistribution:
-        """Exact distribution of the final outcome over Z_d.
-
-        Sums the transformed register's |amps|^2 over the unmeasured axes and
-        bins the measured digits' sum mod d. For the lone measurer this is
-        marginal(reg, 1), bit for bit.
-        """
+        """Exact distribution of the final outcome over Z_d: the outcome table binned by digit sum mod d."""
         reg, _ = self.transformed(params)
-        d, t = reg.d, reg.t
-        measured = self.measurers(t)
-        probs = np.abs(reg.amps.reshape((d,) * t)) ** 2
-        others = tuple(i for i in range(t) if i + 1 not in measured)
-        if others:
-            probs = probs.sum(axis=others)
+        d = reg.d
         digit_sums = np.zeros(1, dtype=np.intp)
-        for _ in measured:
+        for _ in self.measurers(reg.t):
             digit_sums = np.add.outer(digit_sums, np.arange(d)).reshape(-1) % d
-        return MarginalDistribution(np.bincount(digit_sums, weights=probs.reshape(-1), minlength=d))
+        weights = self.outcome_table(reg).reshape(-1)
+        return MarginalDistribution(np.bincount(digit_sums, weights=weights, minlength=d))
 
 
 VARIANTS: dict[str, Variant] = {

@@ -214,6 +214,20 @@ def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:
     return MarginalDistribution(probs)
 
 
+def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
+    """Index of probs drawn by each uniform in u, by inverting the CDF.
+
+    Scaling by the CDF's top keeps every draw in [0, 1) off branches of zero
+    probability, even when rounding leaves the top just below 1. A draw past
+    the top is clamped onto the last branch, and refused if that branch is empty.
+    """
+    cumsum = np.cumsum(probs)
+    idx = np.minimum(np.searchsorted(cumsum, u * cumsum[-1], side="right"), probs.size - 1)
+    if np.any(probs[idx] < PRUNE_TOL):
+        raise ZeroNormProjection(f"a draw landed on a branch of probability below {PRUNE_TOL}")
+    return idx
+
+
 def measure(
     reg: QuditRegister, q: int, rng: np.random.Generator
 ) -> tuple[int, QuditRegister]:
@@ -224,15 +238,7 @@ def measure(
     renormalized post-measurement register.
     """
     probs = marginal(reg, q).probs
-    cumsum = np.cumsum(probs)
-    # Scaling by the top keeps every draw in [0, 1) off branches of zero
-    # probability, even when rounding leaves the top just below 1.
-    v = int(np.searchsorted(cumsum, rng.random() * cumsum[-1], side="right"))
-    v = min(v, reg.d - 1)
-    if probs[v] < PRUNE_TOL:
-        raise ZeroNormProjection(
-            f"branch {v} of qudit {q} has probability below {PRUNE_TOL}"
-        )
+    v = int(inverse_cdf(probs, rng.random()))
     psi = reg.amps.reshape((reg.d,) * reg.t)
     sel: list[object] = [slice(None)] * reg.t
     sel[q - 1] = v

@@ -1,6 +1,5 @@
 """Reference-example reproduction, success statistics, amplitude tables."""
 
-import dataclasses
 import itertools
 import json
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from quditshare import protocol
 from quditshare.analysis import (
+    MC_CHUNK,
     amplitude_table,
     outcome_marginal,
     repaired_success_probability_exact,
@@ -19,8 +19,8 @@ from quditshare.analysis import (
     success_probability_mc,
     verify_reference_states,
 )
-from quditshare.protocol import REPAIRED, VARIANTS, ProtocolParams, derived_seed
-from quditshare.qudit_sim import make_ghz, measure
+from quditshare.protocol import REPAIRED, VARIANTS, ProtocolParams
+from quditshare.qudit_sim import PRUNE_TOL, QuditRegister, basis_digits, basis_label, make_ghz, measure
 
 
 def d4_params(seed=0):
@@ -73,6 +73,38 @@ def test_amplitude_table_prunes_collapsed_state():
     assert len(table.rows) == 1
     assert table.rows[0][0] == f"{outcome}{outcome}"
     assert table.norm_check == pytest.approx(1.0, abs=1e-9)
+
+
+def _loop_amplitude_table(reg):
+    rows, total = [], 0.0
+    for i, a in enumerate(reg.amps):
+        mag = abs(a)
+        if mag < PRUNE_TOL:
+            continue
+        rows.append((basis_label(basis_digits(i, reg.d, reg.t), reg.d), float(a.real), float(a.imag)))
+        total += mag * mag
+    return tuple(rows), total
+
+
+@st.composite
+def _sparse_register(draw):
+    d = draw(st.integers(2, 14))
+    t = draw(st.integers(1, 3))
+    scales = st.sampled_from([0.0, 1e-14, 5e-13, 1.0])
+    mags = draw(st.lists(scales, min_size=d**t, max_size=d**t))
+    mags[draw(st.integers(0, d**t - 1))] = 1.0
+    phases = draw(st.lists(st.floats(0, 2 * np.pi), min_size=d**t, max_size=d**t))
+    amps = np.array(mags) * np.exp(1j * np.array(phases))
+    return QuditRegister(d, t, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reg=_sparse_register())
+def test_amplitude_table_matches_plain_loop(reg):
+    rows, total = _loop_amplitude_table(reg)
+    table = amplitude_table(reg)
+    assert table.rows == rows
+    assert repr(table.norm_check) == repr(total)
 
 
 def test_amplitude_table_dict_round_trip():
@@ -157,12 +189,24 @@ def _mc_case(draw):
     seed=st.integers(0, 2**32),
     variant=st.sampled_from(list(VARIANTS)),
 )
-def test_mc_matches_one_run_per_trial(params, trials, seed, variant):
+def test_mc_matches_consecutive_draws_on_one_stream(params, trials, seed, variant):
+    flow = VARIANTS[variant]
+    reg, _ = flow.transformed(params)
+    rng = np.random.default_rng(seed)
     hits = 0
-    for i in range(trials):
-        tr = VARIANTS[variant].run(dataclasses.replace(params, seed=derived_seed(seed, i)))
-        hits += tr.final_outcome == tr.expected_secret
+    for _ in range(trials):
+        hits += int(flow.draw(reg, rng)[0].sum()) % params.d == params.expected_secret
     assert success_probability_mc(params, trials, seed, variant)[0] == hits / trials
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_mc_chunked_run_matches_one_draw(variant):
+    params, trials = d4_params(), MC_CHUNK + 3
+    flow = VARIANTS[variant]
+    reg, _ = flow.transformed(params)
+    outcomes = flow.draw(reg, np.random.default_rng(8), trials)
+    hits = np.count_nonzero(outcomes.sum(axis=1) % params.d == params.expected_secret)
+    assert success_probability_mc(params, trials, 8, variant)[0] == hits / trials
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))

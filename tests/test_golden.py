@@ -1,0 +1,54 @@
+"""Golden bytes: SHA-256 of CLI outputs that no sampling change may alter.
+
+The pinned hashes were recorded at quditshare 0.1.0. Monte-Carlo estimates and
+repaired per-agent outcomes are deliberately absent: they depend on how
+trials draw from the generator, which 0.2.0 changed.
+"""
+
+import hashlib
+
+import pytest
+
+from quditshare.cli import main
+
+GOLDEN = {
+    "shares": (
+        ["shares", "--d", "5", "--secret-coeffs", "3,2", "--xs", "1,2"],
+        "916f4a34f44a8efb9292298aead3fcd1827a70b66b97e63fc0455e8afa9dcaab",
+    ),
+    "simulate-song-original": (
+        ["simulate", "--variant", "song-original", "--d", "4", "--s-vector", "3,0,0", "--seed", "7"],
+        "e0178f3aae8b44d56da70e59b55608c7fcd3ba3d1c77f50219c1cd67b209bc5c",
+    ),
+    "simulate-song-original-polynomial-structured": (
+        ["simulate", "--d", "7", "--secret-coeffs", "5,3,2", "--xs", "1,2,3", "--format", "structured"],
+        "f2b4615b69b0b629509f94f112bfbe5e71b84fd805299b6542cad088ee057617",
+    ),
+    "simulate-product-counterfactual": (
+        ["simulate", "--variant", "product-counterfactual", "--d", "4", "--s-vector", "3"],
+        "42ff4152f24b81e10fbe3b753cfaed9c8b30cb51d2c5b111f486bb6b787127cd",
+    ),
+    "sweep": (
+        ["sweep"],
+        "2cfd3100ffa1cb64c32206021e9aa590a66c7df48c1eabf92808a263c4ea2d23",
+    ),
+    "sweep-repaired-structured": (
+        ["sweep", "--variant", "repaired", "--format", "structured"],
+        "524eff60a0e57986c48e8930038e2fdb48d259d42b2271e5e2c09e235ec26bab",
+    ),
+    # the tables, marginal and exact lines; the Monte-Carlo line is cut off
+    "example-above-monte-carlo": (
+        ["example", "--trials", "10"],
+        "bbc2228b05c5b5c2be84a549cfb4a15736b206c3b86eefeb93f6f974e0e1e5d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_output_bytes_unchanged(capsys, name):
+    argv, digest = GOLDEN[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if name == "example-above-monte-carlo":
+        out = out[: out.index("monte carlo:")]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -25,11 +25,14 @@ from quditshare.protocol import (
     run_song_original,
 )
 from quditshare.qudit_sim import (
+    QuditRegister,
     SizeCapExceeded,
+    ZeroNormProjection,
     apply_local,
     joint_distribution,
     make_ghz,
     marginal,
+    measure,
     phase_gate,
     qft_inv,
 )
@@ -265,6 +268,58 @@ def test_registry_distribution_matches_dense_oracle(params):
         assert np.max(np.abs(probs - oracle)) <= 1e-12, name
         if not flow.all_measure:
             assert np.array_equal(probs, oracle), name  # the lone measurer is marginal, bit for bit
+        # the outcome table is the joint distribution summed over the unmeasured qudits
+        reg, _ = flow.transformed(params)
+        measured = flow.measurers(reg.t)
+        expected = np.zeros((reg.d,) * len(measured))
+        for digits, p in joint_distribution(reg).entries.items():
+            expected[tuple(digits[r - 1] for r in measured)] += p
+        assert np.max(np.abs(flow.outcome_table(reg) - expected)) <= 1e-12, name
+
+
+# draw -------------------------------------------------------------------------------
+
+LONE_MEASURERS = [name for name, flow in VARIANTS.items() if not flow.all_measure]
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=s_vector_params(), seed=st.integers(0, 2**32), variant=st.sampled_from(LONE_MEASURERS))
+def test_lone_draw_matches_measure(params, seed, variant):
+    # pins song-original and product-counterfactual transcripts to measure's sampling
+    reg, _ = VARIANTS[variant].transformed(params)
+    outcomes = VARIANTS[variant].draw(reg, np.random.default_rng(seed))
+    assert outcomes.shape == (1, 1)
+    assert outcomes[0, 0] == measure(reg, 1, np.random.default_rng(seed))[0]
+
+
+class ConstantRng:
+    """Stub generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_draw_largest_uniform_stays_on_supported_branch(variant):
+    # qudit 1 is (|0> + |1>)/sqrt 2, qudit 2 is |1>: the flat table's top sits just below 1
+    amps = np.kron(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), [0.0, 1.0, 0.0])
+    reg = QuditRegister(3, 2, amps)
+    flow = VARIANTS[variant]
+    assert np.cumsum(flow.outcome_table(reg))[-1] < 1.0
+    outcomes = flow.draw(reg, ConstantRng(float(np.nextafter(1.0, 0.0))), trials=3)
+    assert outcomes.shape == (3, len(flow.measurers(2)))
+    assert all(flow.outcome_table(reg)[tuple(row)] > 0.4 for row in outcomes)
+    assert (outcomes[:, 0] == 1).all()
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_draw_uniform_past_one_raises(variant):
+    reg = QuditRegister(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ZeroNormProjection):
+        VARIANTS[variant].draw(reg, ConstantRng(1.0))
 
 
 # post-encoding state ----------------------------------------------------------------
