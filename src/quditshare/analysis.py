@@ -22,6 +22,7 @@ from .qudit_sim import (
     apply_local,
     basis_digits,
     basis_label,
+    draw,
     marginal,
     qft_inv,
 )
@@ -134,27 +135,26 @@ def success_probability_mc(
 ) -> tuple[float, float]:
     """Sampled success fraction and its binomial standard error.
 
-    The flow is transformed once; each trial is one uniform of a single
-    default_rng(seed) stream, inverted on the measurers' outcome table and drawn
-    MC_CHUNK at a time, so the estimate is that of `trials` one-trial draws.
+    The measurers' outcome table is built once; each trial is one uniform of a
+    single default_rng(seed) stream, inverted on that table and drawn MC_CHUNK
+    at a time, so the estimate is that of `trials` one-trial draws.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    flow = VARIANTS[variant]
-    reg, _ = flow.transformed(params)
+    table = VARIANTS[variant].outcome_table(params)
     rng = np.random.default_rng(seed)
     hits = 0
     for start in range(0, trials, MC_CHUNK):
-        outcomes = flow.draw(reg, rng, min(MC_CHUNK, trials - start))
+        outcomes = draw(table, rng, min(MC_CHUNK, trials - start))
         hits += int(np.count_nonzero(outcomes.sum(axis=1) % params.d == params.expected_secret))
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr
 
 
-def _reference_encoded_amps() -> np.ndarray:
+def _reference_post_encoding_amps() -> np.ndarray:
     amps = np.zeros(REF_D**REF_T, dtype=np.complex128)
     stride = (REF_D**REF_T - 1) // (REF_D - 1)
     for k in range(REF_D):
@@ -184,7 +184,7 @@ def verify_reference_states(
     if params.expected_secret != REF_SECRET:
         raise ValueError(f"split {s_split} does not sum to {REF_SECRET} mod {REF_D}")
     encoded = post_encoding_state(params)
-    err = float(np.max(np.abs(encoded.amps - _reference_encoded_amps())))
+    err = float(np.max(np.abs(encoded.amps - _reference_post_encoding_amps())))
     if err > REF_TOL:
         raise ReproductionError(f"encoded state deviates by {err:.3e} (> {REF_TOL})")
     transformed = apply_local(encoded, 1, qft_inv(REF_D))

@@ -7,7 +7,8 @@ Commands:
   sweep     tabulate exact success probabilities over a (d, t) grid
 
 Exit codes: 0 success (a "no" verdict is still success), 2 invalid usage or
-configuration (including out-of-cap grids), 3 modular division impossible
+configuration (including out-of-cap registers, an unwritable --out path and a
+QUDITSHARE_SIZE_CAP beyond the machine's memory), 3 modular division impossible
 (non-invertible denominator), 4 reference-reproduction assertion failure.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from .analysis import ReproductionError, reproduce_example_d4
 from .modmath import NotInvertible, SharePolynomial, gen_shares, lagrange_term
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
-from .qudit_sim import SizeCapExceeded, size_cap
+from .qudit_sim import SIZE_CAP_ENV, SizeCapExceeded
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,10 +105,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
     payload = json.dumps(doc, indent=2) + "\n" if args.fmt == "structured" else text
-    if args.out is not None:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
+    if args.out is None:
         sys.stdout.write(payload)
+        return
+    try:
+        Path(args.out).write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def cmd_shares(args: argparse.Namespace) -> int:
@@ -179,8 +183,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--d-max must be in [2, {SWEEP_D_MAX}], got {args.d_max}")
     if not 1 <= args.t_max <= SWEEP_T_MAX:
         raise ConfigError(f"--t-max must be in [1, {SWEEP_T_MAX}], got {args.t_max}")
-    if args.d_max**args.t_max > size_cap():
-        raise ConfigError(f"{args.d_max}^{args.t_max} amplitudes exceed the cap of {size_cap()}")
     flow = VARIANTS[args.variant]
     entries = []
     cell = 0
@@ -246,6 +248,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print(f"error: out of memory; {SIZE_CAP_ENV} allows a register this machine cannot hold",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

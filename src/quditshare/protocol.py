@@ -2,10 +2,12 @@
 
 Every variant shares one flow. The first agent prepares a GHZ state and
 distributes one qudit per agent; every agent encodes its Lagrange term as a
-diagonal phase; the variant's measurers Fourier-invert (Variant.transformed)
-and measure, and the final outcome is the sum of their results mod d. One
-Born table of the measurers' joint outcome (Variant.outcome_table) gives the
-exact distribution and every draw, of the runner and of Monte Carlo alike.
+diagonal phase; the variant's measurers Fourier-invert and measure, and the
+final outcome is the sum of their results mod d. The register stays inside the
+flow: Variant.outcome_table(params) hands out the Born table of the measurers'
+joint outcome, which gives the exact distribution and every draw, of the
+runner and of Monte Carlo alike; the runner writes its transcript from the
+parameters and the drawn outcomes.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -39,8 +41,9 @@ from .qudit_sim import (
     MarginalDistribution,
     QuditRegister,
     apply_local,
-    inverse_cdf,
+    draw,
     make_ghz,
+    marginal,
     phase_gate,
     qft_inv,
 )
@@ -212,22 +215,11 @@ class ProtocolParams:
         return sum(self.s_vector) % self.d
 
 
-def _encode(params: ProtocolParams) -> tuple[QuditRegister, list[ProtocolEvent]]:
-    """Prepare, distribute, and phase-encode: the shared part of every variant."""
-    terms = params.share_terms()
-    reg = make_ghz(params.d, params.t)
-    events: list[ProtocolEvent] = [
-        QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, params.t + 1)
-    ]
-    for r, s_r in enumerate(terms, start=1):
-        reg = apply_local(reg, r, phase_gate(params.d, s_r))
-        events.append(GateApplied(agent=r, gate=f"U(0,{s_r})", s=s_r))
-    return reg, events
-
-
 def post_encoding_state(params: ProtocolParams) -> QuditRegister:
     """The register after all phase encodings, before any measurement."""
-    reg, _ = _encode(params)
+    reg = make_ghz(params.d, params.t)
+    for r, s_r in enumerate(params.share_terms(), start=1):
+        reg = apply_local(reg, r, phase_gate(params.d, s_r))
     return reg
 
 
@@ -253,35 +245,29 @@ class Variant:
     def measurers(self, t: int) -> range:
         return range(1, t + 1 if self.all_measure else 2)
 
-    def transformed(self, params: ProtocolParams) -> tuple[QuditRegister, list[ProtocolEvent]]:
-        """The encoded flow register with every measurer's qudit Fourier-inverted."""
-        reg, events = _encode(self.params_for(params))
+    def outcome_table(self, params: ProtocolParams) -> np.ndarray:
+        """Born probabilities of the measurers' joint outcome, one axis per measurer.
+
+        Encodes the flow's register and Fourier-inverts every measurer's qudit.
+        """
+        reg = post_encoding_state(self.params_for(params))
         f = qft_inv(reg.d)
         for r in self.measurers(reg.t):
             reg = apply_local(reg, r, f)
-        return reg, events
-
-    def outcome_table(self, reg: QuditRegister) -> np.ndarray:
-        """Born probabilities of the measurers' joint outcome, one axis per measurer.
-
-        For the lone measurer this is marginal(reg, 1).probs, bit for bit.
-        """
-        measured = self.measurers(reg.t)
-        probs = np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
-        others = tuple(i for i in range(reg.t) if i + 1 not in measured)
-        return probs.sum(axis=others) if others else probs
-
-    def draw(self, reg: QuditRegister, rng: np.random.Generator, trials: int = 1) -> np.ndarray:
-        """(trials, measurers) outcomes in agent order, one uniform of rng per trial."""
-        table = self.outcome_table(reg)
-        flat = inverse_cdf(table.reshape(-1), rng.random(trials))
-        return np.stack(np.unravel_index(flat, table.shape), axis=-1)
+        if not self.all_measure:
+            return marginal(reg, 1).probs
+        return np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
 
     def run(self, params: ProtocolParams) -> Transcript:
         """One seeded run; the final outcome is the measured results' sum mod d."""
-        reg, events = self.transformed(params)
+        table = self.outcome_table(params)
         params = self.params_for(params)
-        outcomes = self.draw(reg, np.random.default_rng(params.seed))[0].tolist()
+        outcomes = draw(table, np.random.default_rng(params.seed))[0].tolist()
+        events: list[ProtocolEvent] = [
+            QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, params.t + 1)
+        ]
+        for r, s_r in enumerate(params.share_terms(), start=1):
+            events.append(GateApplied(agent=r, gate=f"U(0,{s_r})", s=s_r))
         for r, m_r in zip(self.measurers(params.t), outcomes):
             events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
             if self.all_measure:
@@ -298,13 +284,12 @@ class Variant:
 
     def distribution(self, params: ProtocolParams) -> MarginalDistribution:
         """Exact distribution of the final outcome over Z_d: the outcome table binned by digit sum mod d."""
-        reg, _ = self.transformed(params)
-        d = reg.d
+        table = self.outcome_table(params)
+        d = table.shape[0]
         digit_sums = np.zeros(1, dtype=np.intp)
-        for _ in self.measurers(reg.t):
+        for _ in range(table.ndim):
             digit_sums = np.add.outer(digit_sums, np.arange(d)).reshape(-1) % d
-        weights = self.outcome_table(reg).reshape(-1)
-        return MarginalDistribution(np.bincount(digit_sums, weights=weights, minlength=d))
+        return MarginalDistribution(np.bincount(digit_sums, weights=table.reshape(-1), minlength=d))
 
 
 VARIANTS: dict[str, Variant] = {

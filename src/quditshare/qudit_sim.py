@@ -2,7 +2,7 @@
 
 Basis convention: the flat index I encodes digits (k_1, ..., k_t) with qudit 1
 as the MOST significant digit, I = k_1*d^(t-1) + ... + k_t. All reduced
-statistics (marginal, measure, joint_distribution) follow this convention.
+statistics (marginal, measure, draw, joint_distribution) follow this convention.
 
 Registers and gates are immutable; every operation returns a fresh value, so
 they are safe to share across threads. Phase exponents are reduced mod d
@@ -94,7 +94,7 @@ class QuditRegister:
 
     def __post_init__(self):
         _check_size(self.d, self.t)
-        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
+        amps = np.array(self.amps, dtype=np.complex128, order="C").reshape(-1)
         if amps.size != self.d**self.t:
             raise ValueError(f"expected {self.d ** self.t} amplitudes, got {amps.size}")
         norm_sq = float(np.vdot(amps, amps).real)
@@ -200,8 +200,7 @@ def apply_local(reg: QuditRegister, q: int, u: LocalUnitary) -> QuditRegister:
     _check_qudit_index(q, reg.t)
     psi = reg.amps.reshape((reg.d,) * reg.t)
     out = np.tensordot(u.m, psi, axes=([1], [q - 1]))  # contracted axis lands in front
-    out = np.moveaxis(out, 0, q - 1)
-    return QuditRegister(reg.d, reg.t, out.reshape(-1))
+    return QuditRegister(reg.d, reg.t, np.moveaxis(out, 0, q - 1))  # QuditRegister copies once, into C order
 
 
 def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:
@@ -226,6 +225,12 @@ def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     if np.any(probs[idx] < PRUNE_TOL):
         raise ZeroNormProjection(f"a draw landed on a branch of probability below {PRUNE_TOL}")
     return idx
+
+
+def draw(table: np.ndarray, rng: np.random.Generator, trials: int = 1) -> np.ndarray:
+    """(trials, table.ndim) indices into a Born table, one uniform of rng per trial."""
+    flat = inverse_cdf(table.reshape(-1), rng.random(trials))
+    return np.stack(np.unravel_index(flat, table.shape), axis=-1)
 
 
 def measure(

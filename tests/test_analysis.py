@@ -20,7 +20,7 @@ from quditshare.analysis import (
     verify_reference_states,
 )
 from quditshare.protocol import REPAIRED, VARIANTS, ProtocolParams
-from quditshare.qudit_sim import PRUNE_TOL, QuditRegister, basis_digits, basis_label, make_ghz, measure
+from quditshare.qudit_sim import PRUNE_TOL, QuditRegister, basis_digits, basis_label, draw, make_ghz, measure
 
 
 def d4_params(seed=0):
@@ -190,21 +190,18 @@ def _mc_case(draw):
     variant=st.sampled_from(list(VARIANTS)),
 )
 def test_mc_matches_consecutive_draws_on_one_stream(params, trials, seed, variant):
-    flow = VARIANTS[variant]
-    reg, _ = flow.transformed(params)
+    table = VARIANTS[variant].outcome_table(params)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
-        hits += int(flow.draw(reg, rng)[0].sum()) % params.d == params.expected_secret
+        hits += int(draw(table, rng)[0].sum()) % params.d == params.expected_secret
     assert success_probability_mc(params, trials, seed, variant)[0] == hits / trials
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_mc_chunked_run_matches_one_draw(variant):
     params, trials = d4_params(), MC_CHUNK + 3
-    flow = VARIANTS[variant]
-    reg, _ = flow.transformed(params)
-    outcomes = flow.draw(reg, np.random.default_rng(8), trials)
+    outcomes = draw(VARIANTS[variant].outcome_table(params), np.random.default_rng(8), trials)
     hits = np.count_nonzero(outcomes.sum(axis=1) % params.d == params.expected_secret)
     assert success_probability_mc(params, trials, 8, variant)[0] == hits / trials
 
@@ -220,6 +217,20 @@ def test_mc_prepares_the_register_once(monkeypatch, variant):
     monkeypatch.setattr(protocol, "make_ghz", counting_make_ghz)
     success_probability_mc(d4_params(), trials=25, seed=3, variant=variant)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_mc_builds_the_outcome_table_once(monkeypatch, variant):
+    calls = []
+    outcome_table = protocol.Variant.outcome_table
+
+    def counting_outcome_table(self, *args):
+        calls.append(self.name)
+        return outcome_table(self, *args)
+
+    monkeypatch.setattr(protocol.Variant, "outcome_table", counting_outcome_table)
+    success_probability_mc(d4_params(), trials=2 * MC_CHUNK + 1, seed=3, variant=variant)
+    assert calls == [variant]
 
 
 def test_mc_validates_arguments():

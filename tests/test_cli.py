@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from quditshare import cli
+from quditshare import cli, protocol
 from quditshare.analysis import ReproductionError, reproduce_example_d4
 from quditshare.cli import main
 from quditshare.protocol import VARIANTS
@@ -178,6 +178,22 @@ def test_simulate_size_cap_exit_2(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_out_of_memory_exit_2_names_size_cap(capsys, monkeypatch):
+    # a cap raised past the machine's memory lets 65536^2 amplitudes through; every
+    # allocating constructor is stubbed so the test itself never allocates them
+    monkeypatch.setenv("QUDITSHARE_SIZE_CAP", str(65536**2))
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    for name in ("make_ghz", "phase_gate", "qft_inv"):
+        monkeypatch.setattr(protocol, name, no_memory)
+    rc, out, err = run_cli(capsys, "simulate", "--d", "65536", "--s-vector", "1,2")
+    assert rc == 2
+    assert out == ""
+    assert "QUDITSHARE_SIZE_CAP" in err
+
+
 # example -----------------------------------------------------------------------
 
 def test_example_text_output(capsys):
@@ -268,6 +284,14 @@ def test_sweep_range_limits_exit_2(capsys):
         assert "error:" in err
 
 
+def test_sweep_size_cap_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("QUDITSHARE_SIZE_CAP", "16")
+    rc, out, err = run_cli(capsys, "sweep")
+    assert rc == 2
+    assert out == ""
+    assert "cap" in err
+
+
 # generic ------------------------------------------------------------------------
 
 def test_unknown_command_exit_2(capsys):
@@ -294,6 +318,16 @@ def test_out_writes_only_configured_path(capsys, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc == reproduce_example_d4(trials=120, seed=2).to_dict()
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_out_unwritable_exit_2(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "report.txt" if where == "missing-parent" else tmp_path
+    rc, out, err = run_cli(capsys, "shares", "--d", "5", "--secret-coeffs", "3,2", "--xs", "1,2",
+                           "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_random_seed_flag_varies_outcomes(capsys):

@@ -1,8 +1,10 @@
-"""Golden bytes: SHA-256 of CLI outputs that no sampling change may alter.
+"""Golden bytes: SHA-256 of CLI outputs that no refactor may alter.
 
-The pinned hashes were recorded at quditshare 0.1.0. Monte-Carlo estimates and
-repaired per-agent outcomes are deliberately absent: they depend on how
-trials draw from the generator, which 0.2.0 changed.
+The first seven hashes were recorded at quditshare 0.1.0 and hold unchanged
+since. The rest pin outputs that draw from the generator: Monte-Carlo
+estimates and repaired per-agent outcomes. Their stream is the 0.2.0 one (one
+uniform per trial of a single default_rng(seed), inverted on the measurers'
+outcome table), recorded at 0.2.0; changing it is a deliberate byte change.
 """
 
 import hashlib
@@ -40,6 +42,23 @@ GOLDEN = {
     "example-above-monte-carlo": (
         ["example", "--trials", "10"],
         "bbc2228b05c5b5c2be84a549cfb4a15736b206c3b86eefeb93f6f974e0e1e5d0",
+    ),
+    # 0.2.0 stream
+    "simulate-repaired-polynomial": (
+        ["simulate", "--variant", "repaired", "--d", "7", "--secret-coeffs", "5,3,2", "--xs", "1,2,3"],
+        "d6954913daeed6ad974ff33b07b35f9f5bf05e566faabc8653fbd86158238bde",
+    ),
+    "example": (
+        ["example"],
+        "73459dd5784d77af3c13c33d2e6316212978d74336c1bfb02478d70702217d5e",
+    ),
+    "example-structured": (
+        ["example", "--format", "structured"],
+        "91a5eda1561d99102a071e90df63df1a405e02611d1fc55c8a5aa8fb158a8276",
+    ),
+    "simulate-repaired-structured": (
+        ["simulate", "--variant", "repaired", "--d", "4", "--s-vector", "3,0,0", "--format", "structured"],
+        "2c28ab96acc23648d7346e63180495dd49d0f36cece22501abea2b62c897bc83",
     ),
 }
 

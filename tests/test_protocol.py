@@ -29,6 +29,7 @@ from quditshare.qudit_sim import (
     SizeCapExceeded,
     ZeroNormProjection,
     apply_local,
+    draw,
     joint_distribution,
     make_ghz,
     marginal,
@@ -268,13 +269,18 @@ def test_registry_distribution_matches_dense_oracle(params):
         assert np.max(np.abs(probs - oracle)) <= 1e-12, name
         if not flow.all_measure:
             assert np.array_equal(probs, oracle), name  # the lone measurer is marginal, bit for bit
-        # the outcome table is the joint distribution summed over the unmeasured qudits
-        reg, _ = flow.transformed(params)
+        # the outcome table is the joint distribution of the flow's register, with
+        # every measurer Fourier-inverted, summed over the unmeasured qudits
+        reg = post_encoding_state(flow.params_for(params))
         measured = flow.measurers(reg.t)
+        for r in measured:
+            reg = apply_local(reg, r, qft_inv(reg.d))
         expected = np.zeros((reg.d,) * len(measured))
         for digits, p in joint_distribution(reg).entries.items():
             expected[tuple(digits[r - 1] for r in measured)] += p
-        assert np.max(np.abs(flow.outcome_table(reg) - expected)) <= 1e-12, name
+        table = flow.outcome_table(params)
+        assert table.shape == expected.shape, name
+        assert np.max(np.abs(table - expected)) <= 1e-12, name
 
 
 # draw -------------------------------------------------------------------------------
@@ -286,8 +292,9 @@ LONE_MEASURERS = [name for name, flow in VARIANTS.items() if not flow.all_measur
 @given(params=s_vector_params(), seed=st.integers(0, 2**32), variant=st.sampled_from(LONE_MEASURERS))
 def test_lone_draw_matches_measure(params, seed, variant):
     # pins song-original and product-counterfactual transcripts to measure's sampling
-    reg, _ = VARIANTS[variant].transformed(params)
-    outcomes = VARIANTS[variant].draw(reg, np.random.default_rng(seed))
+    flow = VARIANTS[variant]
+    reg = apply_local(post_encoding_state(flow.params_for(params)), 1, qft_inv(params.d))
+    outcomes = draw(flow.outcome_table(params), np.random.default_rng(seed))
     assert outcomes.shape == (1, 1)
     assert outcomes[0, 0] == measure(reg, 1, np.random.default_rng(seed))[0]
 
@@ -302,24 +309,31 @@ class ConstantRng:
         return np.full(size, self.u)
 
 
+def _table_of(flow, reg):
+    """The outcome table flow reads off reg once its measurers are inverted."""
+    if not flow.all_measure:
+        return marginal(reg, 1).probs
+    return np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_draw_largest_uniform_stays_on_supported_branch(variant):
     # qudit 1 is (|0> + |1>)/sqrt 2, qudit 2 is |1>: the flat table's top sits just below 1
     amps = np.kron(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), [0.0, 1.0, 0.0])
-    reg = QuditRegister(3, 2, amps)
     flow = VARIANTS[variant]
-    assert np.cumsum(flow.outcome_table(reg))[-1] < 1.0
-    outcomes = flow.draw(reg, ConstantRng(float(np.nextafter(1.0, 0.0))), trials=3)
+    table = _table_of(flow, QuditRegister(3, 2, amps))
+    assert np.cumsum(table)[-1] < 1.0
+    outcomes = draw(table, ConstantRng(float(np.nextafter(1.0, 0.0))), trials=3)
     assert outcomes.shape == (3, len(flow.measurers(2)))
-    assert all(flow.outcome_table(reg)[tuple(row)] > 0.4 for row in outcomes)
+    assert all(table[tuple(row)] > 0.4 for row in outcomes)
     assert (outcomes[:, 0] == 1).all()
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_draw_uniform_past_one_raises(variant):
-    reg = QuditRegister(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
+    table = _table_of(VARIANTS[variant], QuditRegister(2, 2, np.array([1.0, 0.0, 0.0, 0.0])))
     with pytest.raises(ZeroNormProjection):
-        VARIANTS[variant].draw(reg, ConstantRng(1.0))
+        draw(table, ConstantRng(1.0))
 
 
 # post-encoding state ----------------------------------------------------------------
