@@ -47,7 +47,6 @@ from .protocol import (
     Variant,
     derived_seed,
     post_encoding_state,
-    run_product_counterfactual,
     run_repaired_all_measure,
     run_song_original,
 )

@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ReproductionError, reproduce_example_d4
-from .modmath import NotInvertible, SharePolynomial, gen_shares, lagrange_term
+from .modmath import NotInvertible, SharePolynomial, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
-from .qudit_sim import SIZE_CAP_ENV, SizeCapExceeded
+from .qudit_sim import SIZE_CAP_ENV
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
 
     example = sub.add_parser("example", help="reproduce the built-in d=4 reference example")
     example.add_argument("--trials", type=int, default=10000, help="Monte-Carlo trials")
-    example.add_argument("--s-vector", type=_int_list, default=None, dest="s_vector",
+    example.add_argument("--s-vector", type=_int_list, default=(3, 0, 0), dest="s_vector",
                          help="phase split s_1,s_2,s_3 summing to 3 mod 4 (default 3,0,0)")
     _add_common(example)
 
@@ -116,21 +116,18 @@ def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
 
 def cmd_shares(args: argparse.Namespace) -> int:
     poly = SharePolynomial(args.d, args.coeffs)
-    shares = gen_shares(poly, args.xs)
-    t = poly.threshold
-    if len(shares) < t:
-        raise ConfigError(f"need at least t={t} abscissae, got {len(shares)}")
-    participating = shares[:t]
-    terms = [lagrange_term(participating, r, args.d).s for r in range(1, t + 1)]
+    params = ProtocolParams(d=args.d, t=poly.threshold, polynomial=poly, abscissae=args.xs)
+    shares = gen_shares(poly, params.abscissae)
+    terms = list(params.share_terms())
     total = sum(terms) % args.d
-    lines = [f"d={args.d} t={t} n={len(shares)}"]
+    lines = [f"d={args.d} t={params.t} n={params.n}"]
     lines.extend(f"share: x={sh.x} y={sh.y}" for sh in shares)
     lines.extend(f"term s_{r} = {s}" for r, s in enumerate(terms, start=1))
     lines.append(f"sum of terms = {total}")
     doc = {
         "d": args.d,
-        "t": t,
-        "n": len(shares),
+        "t": params.t,
+        "n": params.n,
         "shares": [{"x": sh.x, "y": sh.y} for sh in shares],
         "terms": terms,
         "sum": total,
@@ -140,25 +137,11 @@ def cmd_shares(args: argparse.Namespace) -> int:
 
 
 def _simulate_params(args: argparse.Namespace) -> ProtocolParams:
-    if (args.s_vector is not None) == (args.coeffs is not None):
-        raise ConfigError("give exactly one of --s-vector or --secret-coeffs")
-    if args.s_vector is not None:
-        if args.xs is not None:
-            raise ConfigError("--xs belongs to the --secret-coeffs path")
-        t = len(args.s_vector)
-        if args.t is not None and args.t != t:
-            raise ConfigError(f"--t {args.t} contradicts the {t}-entry --s-vector")
-        return ProtocolParams(d=args.d, t=t, n=args.n, s_vector=args.s_vector,
-                              seed=args.seed)
-    if args.xs is None:
-        raise ConfigError("--secret-coeffs requires --xs")
-    t = len(args.coeffs)
-    if args.t is not None and args.t != t:
-        raise ConfigError(f"--t {args.t} contradicts the {t}-coefficient polynomial")
-    if args.n is not None and args.n != len(args.xs):
-        raise ConfigError(f"--n {args.n} contradicts the {len(args.xs)} abscissae")
-    return ProtocolParams(d=args.d, t=t, polynomial=SharePolynomial(args.d, args.coeffs),
-                          abscissae=args.xs, seed=args.seed)
+    """The flags as ProtocolParams, which checks them; --t defaults to the secret source's length."""
+    poly = None if args.coeffs is None else SharePolynomial(args.d, args.coeffs)
+    t = len(args.s_vector or args.coeffs or ()) if args.t is None else args.t
+    return ProtocolParams(d=args.d, t=t, n=args.n, polynomial=poly, abscissae=args.xs,
+                          s_vector=args.s_vector, seed=args.seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -170,10 +153,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    split = args.s_vector if args.s_vector is not None else (3, 0, 0)
-    if len(split) != 3:
-        raise ConfigError("the example split must have exactly three entries")
-    report = reproduce_example_d4(trials=args.trials, seed=args.seed, s_split=tuple(split))
+    report = reproduce_example_d4(trials=args.trials, seed=args.seed, s_split=args.s_vector)
     _emit(args, report.to_text(), report.to_dict())
     return EXIT_OK
 
@@ -243,10 +223,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproductionError as exc:
         print(f"error: reference reproduction failed: {exc}", file=sys.stderr)
         return EXIT_REPRODUCTION
-    except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, the size cap and every other input check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:

@@ -13,8 +13,8 @@ parameters and the drawn outcomes.
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
   the secret is recovered with probability exactly 1/d.
 - product-counterfactual: the same lone measurer on a single unentangled
-  qudit carrying the summed phase, where it does return the secret with
-  certainty.
+  qudit carrying the interpolated sum of the terms, where it does return the
+  secret with certainty.
 - repaired: a diagnostic (non-published) variant in which every agent
   Fourier-inverts, measures, and announces; the announced results sum to the
   secret mod d on every run.
@@ -170,29 +170,37 @@ class ProtocolParams:
 
     def __post_init__(self):
         _check_modulus(self.d)
+        has_poly = self.polynomial is not None
+        if has_poly and self.s_vector is not None:
+            raise ValueError(f"give one secret source, not both polynomial "
+                             f"{self.polynomial.coeffs} and s_vector {tuple(self.s_vector)}")
+        if not has_poly and self.s_vector is None:
+            raise ValueError("give a secret source: polynomial with abscissae, or s_vector")
+        if has_poly and self.abscissae is None:
+            raise ValueError(f"polynomial {self.polynomial.coeffs} needs abscissae")
+        if not has_poly and self.abscissae is not None:
+            raise ValueError(f"abscissae {tuple(self.abscissae)} belong to a polynomial, "
+                             f"not to s_vector {tuple(self.s_vector)}")
         if self.t < 1:
             raise ValueError(f"threshold must be >= 1, got {self.t}")
-        has_poly = self.polynomial is not None
-        if has_poly != (self.abscissae is not None):
-            raise ValueError("the polynomial path needs both polynomial and abscissae")
-        if has_poly == (self.s_vector is not None):
-            raise ValueError("give exactly one of (polynomial, abscissae) or s_vector")
         if has_poly:
             object.__setattr__(self, "abscissae", tuple(self.abscissae))
             if self.polynomial.d != self.d:
-                raise ValueError("polynomial modulus does not match d")
+                raise ValueError(f"polynomial modulus {self.polynomial.d} contradicts d={self.d}")
             if self.polynomial.threshold != self.t:
-                raise ValueError("polynomial degree+1 does not match threshold t")
+                raise ValueError(f"threshold t={self.t} contradicts the "
+                                 f"{self.polynomial.threshold}-coefficient polynomial")
             _check_abscissae(self.abscissae, self.d)
-            if self.n is None:
-                object.__setattr__(self, "n", len(self.abscissae))
-            if self.n != len(self.abscissae):
-                raise ValueError("n does not match the number of abscissae")
+            if self.n not in (None, len(self.abscissae)):
+                raise ValueError(f"agent count n={self.n} contradicts the "
+                                 f"{len(self.abscissae)} abscissae")
+            object.__setattr__(self, "n", len(self.abscissae))
         else:
             terms = tuple(_as_int(s, "s_vector entry") for s in self.s_vector)
             object.__setattr__(self, "s_vector", terms)
             if len(self.s_vector) != self.t:
-                raise ValueError("s_vector length must equal the threshold t")
+                raise ValueError(f"threshold t={self.t} contradicts the "
+                                 f"{len(self.s_vector)}-entry s_vector")
             if any(not 0 <= s < self.d for s in self.s_vector):
                 raise ValueError("s_vector entries must be residues in [0, d)")
             if self.n is None:
@@ -229,7 +237,7 @@ class Variant:
 
     The lone measurer is agent 1; with all_measure every agent inverts,
     measures and announces. A product flow runs on one unentangled qudit
-    carrying the summed phase instead of the shared GHZ register.
+    carrying the sum of the terms mod d instead of the shared GHZ register.
     """
 
     name: str
@@ -239,7 +247,8 @@ class Variant:
     def params_for(self, params: ProtocolParams) -> ProtocolParams:
         """The parameters of the register this flow actually runs on."""
         if self.product:
-            return ProtocolParams(params.d, 1, s_vector=(params.expected_secret,), seed=params.seed)
+            s_total = sum(params.share_terms()) % params.d
+            return ProtocolParams(params.d, 1, s_vector=(s_total,), seed=params.seed)
         return params
 
     def measurers(self, t: int) -> range:
@@ -309,16 +318,6 @@ def run_song_original(params: ProtocolParams) -> Transcript:
     with probability exactly 1/d once t >= 2 (the register stays entangled).
     """
     return VARIANTS[SONG_ORIGINAL].run(params)
-
-
-def run_product_counterfactual(s_total: int, d: int, seed: int = DEFAULT_SEED) -> int:
-    """Fourier inversion on one unentangled qudit carrying phase slope s_total.
-
-    Returns s_total with certainty. This is the only setting where the lone
-    measurement recovers the encoded sum.
-    """
-    params = ProtocolParams(d, 1, s_vector=(s_total,), seed=seed)
-    return VARIANTS[PRODUCT_COUNTERFACTUAL].run(params).final_outcome
 
 
 def run_repaired_all_measure(params: ProtocolParams) -> Transcript:

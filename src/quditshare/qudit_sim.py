@@ -168,7 +168,8 @@ def make_ghz(d: int, t: int) -> QuditRegister:
 
 
 def phase_gate(d: int, s: int) -> LocalUnitary:
-    """Diagonal gate |k> -> w^(s*k) |k| with w = exp(2*pi*i/d)."""
+    """Diagonal gate |k> -> w^(s*k) |k> with w = exp(2*pi*i/d)."""
+    _check_size(d, 2)  # a dense d x d matrix counts against the amplitude cap
     s = _as_int(s, "phase exponent")
     if not 0 <= s < d:
         raise ValueError(f"phase exponent must be in [0, {d}), got {s}")
@@ -182,8 +183,7 @@ def qft_inv(d: int) -> LocalUnitary:
     With this sign convention the state (1/sqrt d) * sum_k w^(S*k) |k> of a
     single qudit maps exactly to |S mod d>.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_size(d, 2)
     jk = np.outer(np.arange(d), np.arange(d)) % d
     return LocalUnitary(d, np.exp(-2j * np.pi * jk / d) / np.sqrt(d))
 

@@ -20,10 +20,11 @@ from quditshare.analysis import (
 from quditshare.cli import main as cli_main
 from quditshare.modmath import SharePolynomial, gen_shares, reconstruct_classical
 from quditshare.protocol import (
+    PRODUCT_COUNTERFACTUAL,
     REPAIRED,
+    VARIANTS,
     ProtocolParams,
     post_encoding_state,
-    run_product_counterfactual,
     run_repaired_all_measure,
     run_song_original,
 )
@@ -137,7 +138,8 @@ def test_criterion_4_counterfactual_certainty():
             others = np.delete(np.abs(reg.amps), s_total)
             if others.size and float(np.max(others)) > 1e-10:
                 ok = False
-            if run_product_counterfactual(s_total, d, seed=s_total) != s_total:
+            params = ProtocolParams(d, 1, s_vector=(s_total,), seed=s_total)
+            if VARIANTS[PRODUCT_COUNTERFACTUAL].run(params).final_outcome != s_total:
                 ok = False
     _verdict(
         4,

@@ -194,6 +194,26 @@ def test_out_of_memory_exit_2_names_size_cap(capsys, monkeypatch):
     assert "QUDITSHARE_SIZE_CAP" in err
 
 
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_simulate_not_invertible_exit_3_every_variant(capsys, variant):
+    # the product flow interpolates the terms too, so 2 = 3 - 1 has no inverse mod 4 there as well
+    rc, out, err = run_cli(capsys, "simulate", "--variant", variant, "--d", "4",
+                           "--secret-coeffs", "3,2", "--xs", "1,3")
+    assert rc == 3
+    assert out == ""
+    assert "2 is not invertible mod 4" in err
+
+
+def test_simulate_gate_size_cap_exit_2(capsys, monkeypatch):
+    # one qudit of 5 amplitudes fits the cap, its 5 x 5 gates do not
+    monkeypatch.setenv("QUDITSHARE_SIZE_CAP", "16")
+    rc, out, err = run_cli(capsys, "simulate", "--variant", "product-counterfactual",
+                           "--d", "5", "--s-vector", "1")
+    assert rc == 2
+    assert out == ""
+    assert "5^2 amplitudes exceed the cap of 16" in err
+
+
 # example -----------------------------------------------------------------------
 
 def test_example_text_output(capsys):
@@ -290,6 +310,46 @@ def test_sweep_size_cap_exit_2(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert "cap" in err
+
+
+MISUSE = {
+    "neither-source": (["simulate", "--d", "4"], "give a secret source"),
+    "neither-source-product": (["simulate", "--variant", "product-counterfactual", "--d", "4"],
+                               "give a secret source"),
+    "both-sources": (["simulate", "--d", "4", "--s-vector", "3,0,0",
+                      "--secret-coeffs", "3,0,0", "--xs", "1,2,3"],
+                     "not both polynomial (3, 0, 0) and s_vector (3, 0, 0)"),
+    "xs-with-s-vector": (["simulate", "--d", "4", "--s-vector", "3,0,0", "--xs", "1,2,3"],
+                         "abscissae (1, 2, 3) belong to a polynomial, not to s_vector (3, 0, 0)"),
+    "coeffs-without-xs": (["simulate", "--d", "7", "--secret-coeffs", "5,3,2"],
+                          "polynomial (5, 3, 2) needs abscissae"),
+    "t-against-s-vector": (["simulate", "--d", "4", "--s-vector", "3,0,0", "--t", "2"],
+                           "threshold t=2 contradicts the 3-entry s_vector"),
+    "t-against-polynomial": (["simulate", "--d", "7", "--secret-coeffs", "5,3,2",
+                              "--xs", "1,2,3", "--t", "2"],
+                             "threshold t=2 contradicts the 3-coefficient polynomial"),
+    "n-against-abscissae": (["simulate", "--d", "7", "--secret-coeffs", "5,3,2",
+                             "--xs", "1,2,3", "--n", "4"],
+                            "agent count n=4 contradicts the 3 abscissae"),
+    "shares-too-few-xs": (["shares", "--d", "7", "--secret-coeffs", "5,3,2", "--xs", "1,2"],
+                          "threshold t=3 exceeds agent count n=2"),
+    "example-2-entries": (["example", "--trials", "10", "--s-vector", "3,0"],
+                          "threshold t=3 contradicts the 2-entry s_vector"),
+    "example-4-entries": (["example", "--trials", "10", "--s-vector", "3,0,0,0"],
+                          "threshold t=3 contradicts the 4-entry s_vector"),
+    "example-split-sum": (["example", "--trials", "10", "--s-vector", "1,1,0"],
+                          "split (1, 1, 0) does not sum to 3 mod 4"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISUSE))
+def test_misuse_exit_2_names_the_conflict(capsys, case):
+    argv, message = MISUSE[case]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
 
 
 # generic ------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from quditshare.protocol import (
     QuditSent,
     derived_seed,
     post_encoding_state,
-    run_product_counterfactual,
     run_repaired_all_measure,
     run_song_original,
 )
@@ -170,19 +169,22 @@ def test_song_original_outcome_varies_with_seed():
 # product counterfactual ------------------------------------------------------------
 
 def test_counterfactual_reference_case():
-    assert run_product_counterfactual(3, 4) == 3
-    assert run_product_counterfactual(0, 5) == 0
+    flow = VARIANTS[PRODUCT_COUNTERFACTUAL]
+    assert flow.run(ProtocolParams(4, 1, s_vector=(3,))).final_outcome == 3
+    assert flow.run(ProtocolParams(5, 1, s_vector=(0,))).final_outcome == 0
 
 
 def test_counterfactual_exhaustive():
+    flow = VARIANTS[PRODUCT_COUNTERFACTUAL]
     for d in range(2, 13):
         for s_total in range(d):
-            assert run_product_counterfactual(s_total, d, seed=d + s_total) == s_total
+            params = ProtocolParams(d, 1, s_vector=(s_total,), seed=d + s_total)
+            assert flow.run(params).final_outcome == s_total
 
 
 def test_counterfactual_rejects_out_of_range():
     with pytest.raises(ValueError):
-        run_product_counterfactual(4, 4)
+        VARIANTS[PRODUCT_COUNTERFACTUAL].run(ProtocolParams(4, 1, s_vector=(4,)))
 
 
 # repaired -----------------------------------------------------------------------

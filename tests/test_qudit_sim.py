@@ -122,6 +122,14 @@ def test_register_constructor_enforces_size_cap(monkeypatch):
     QuditRegister(2, 4, np.full(16, 0.25))
 
 
+def test_gates_respect_size_cap(monkeypatch):
+    monkeypatch.setenv(SIZE_CAP_ENV, "16")
+    for gate in (lambda d: phase_gate(d, 1), qft_inv, qft):
+        with pytest.raises(SizeCapExceeded):
+            gate(5)  # a 5 x 5 matrix holds 25 > 16 amplitudes
+        assert gate(4).d == 4
+
+
 def test_make_ghz_rejects_bad_args():
     with pytest.raises(ValueError):
         make_ghz(1, 2)
