@@ -24,7 +24,6 @@ from .modmath import (
     NotInvertible,
     Share,
     SharePolynomial,
-    ShareTerm,
     ZeroAbscissa,
     eval_poly,
     gen_shares,

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modmath import _as_int
 from .protocol import (
     DEFAULT_SEED,
     REPAIRED,
@@ -139,8 +140,8 @@ def success_probability_mc(
     single default_rng(seed) stream, inverted on that table and drawn MC_CHUNK
     at a time, so the estimate is that of `trials` one-trial draws.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    trials = _as_int(trials, "trial count", 1)
+    seed = _as_int(seed, "seed", 0)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     table = VARIANTS[variant].outcome_table(params)

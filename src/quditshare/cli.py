@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ReproductionError, reproduce_example_d4
-from .modmath import NotInvertible, SharePolynomial, gen_shares
+from .modmath import NotInvertible, SharePolynomial, _as_int, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
 from .qudit_sim import SIZE_CAP_ENV
 
@@ -39,7 +39,7 @@ SWEEP_TOL = 1e-10
 
 
 class ConfigError(ValueError):
-    """Invalid flag combination or parameter value."""
+    """An --out path that cannot be written."""
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -159,15 +159,13 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not 2 <= args.d_max <= SWEEP_D_MAX:
-        raise ConfigError(f"--d-max must be in [2, {SWEEP_D_MAX}], got {args.d_max}")
-    if not 1 <= args.t_max <= SWEEP_T_MAX:
-        raise ConfigError(f"--t-max must be in [1, {SWEEP_T_MAX}], got {args.t_max}")
+    d_max = _as_int(args.d_max, "--d-max", 2, SWEEP_D_MAX + 1)
+    t_max = _as_int(args.t_max, "--t-max", 1, SWEEP_T_MAX + 1)
     flow = VARIANTS[args.variant]
     entries = []
     cell = 0
-    for d in range(2, args.d_max + 1):
-        for t in range(1, args.t_max + 1):
+    for d in range(2, d_max + 1):
+        for t in range(1, t_max + 1):
             rng = np.random.default_rng(derived_seed(args.seed, cell))
             cell += 1
             s = tuple(int(v) for v in rng.integers(0, d, size=t))

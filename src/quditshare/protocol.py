@@ -60,7 +60,7 @@ DEFAULT_SEED = 12345
 
 def derived_seed(seed: int, index: int) -> int:
     """Seed of sweep cell index; Monte Carlo draws from one stream instead (uint32s collide)."""
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+    return int(np.random.SeedSequence((_as_int(seed, "seed", 0), index)).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ class ProtocolParams:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        _check_modulus(self.d)
+        object.__setattr__(self, "d", _check_modulus(self.d))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
         has_poly = self.polynomial is not None
         if has_poly and self.s_vector is not None:
             raise ValueError(f"give one secret source, not both polynomial "
@@ -181,28 +182,26 @@ class ProtocolParams:
         if not has_poly and self.abscissae is not None:
             raise ValueError(f"abscissae {tuple(self.abscissae)} belong to a polynomial, "
                              f"not to s_vector {tuple(self.s_vector)}")
-        if self.t < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.t}")
+        object.__setattr__(self, "t", _as_int(self.t, "threshold", 1))
+        if self.n is not None:
+            object.__setattr__(self, "n", _as_int(self.n, "agent count", 1))
         if has_poly:
-            object.__setattr__(self, "abscissae", tuple(self.abscissae))
             if self.polynomial.d != self.d:
                 raise ValueError(f"polynomial modulus {self.polynomial.d} contradicts d={self.d}")
             if self.polynomial.threshold != self.t:
                 raise ValueError(f"threshold t={self.t} contradicts the "
                                  f"{self.polynomial.threshold}-coefficient polynomial")
-            _check_abscissae(self.abscissae, self.d)
+            object.__setattr__(self, "abscissae", _check_abscissae(self.abscissae, self.d))
             if self.n not in (None, len(self.abscissae)):
                 raise ValueError(f"agent count n={self.n} contradicts the "
                                  f"{len(self.abscissae)} abscissae")
             object.__setattr__(self, "n", len(self.abscissae))
         else:
-            terms = tuple(_as_int(s, "s_vector entry") for s in self.s_vector)
+            terms = tuple(_as_int(s, "s_vector entry", 0, self.d) for s in self.s_vector)
             object.__setattr__(self, "s_vector", terms)
             if len(self.s_vector) != self.t:
                 raise ValueError(f"threshold t={self.t} contradicts the "
                                  f"{len(self.s_vector)}-entry s_vector")
-            if any(not 0 <= s < self.d for s in self.s_vector):
-                raise ValueError("s_vector entries must be residues in [0, d)")
             if self.n is None:
                 object.__setattr__(self, "n", self.t)
         if self.t > self.n:
@@ -213,7 +212,7 @@ class ProtocolParams:
         if self.s_vector is not None:
             return self.s_vector
         shares = gen_shares(self.polynomial, self.abscissae)[: self.t]
-        return tuple(lagrange_term(shares, r, self.d).s for r in range(1, self.t + 1))
+        return tuple(lagrange_term(shares, r, self.d) for r in range(1, self.t + 1))
 
     @property
     def expected_secret(self) -> int:

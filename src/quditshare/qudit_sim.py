@@ -45,27 +45,25 @@ def size_cap() -> int:
     """Current amplitude-count cap; override with a positive integer in QUDITSHARE_SIZE_CAP."""
     raw = os.environ.get(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
     try:
-        cap = int(raw)
+        raw = int(raw)
     except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{SIZE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
+        pass  # the text stays a string, which _as_int refuses under the variable's name
+    return _as_int(raw, SIZE_CAP_ENV, 1)
 
 
 def _check_size(d: int, t: int) -> None:
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
-    if t < 1:
-        raise ValueError(f"qudit count must be >= 1, got {t}")
+    d = _as_int(d, "local dimension", 2)
+    t = _as_int(t, "qudit count", 1)
     cap = size_cap()
     if d**t > cap:
         raise SizeCapExceeded(f"{d}^{t} amplitudes exceed the cap of {cap}")
 
 
-def _check_qudit_index(q: int, t: int) -> None:
+def _check_qudit_index(q: int, t: int) -> int:
+    q = _as_int(q, "qudit index")
     if not 1 <= q <= t:
         raise IndexOutOfRange(f"qudit index must be in [1, {t}], got {q}")
+    return q
 
 
 def basis_digits(index: int, d: int, t: int) -> tuple[int, ...]:
@@ -120,6 +118,7 @@ class LocalUnitary:
     m: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _as_int(self.d, "local dimension", 2))
         m = np.array(self.m, dtype=np.complex128)
         if m.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d}x{self.d} matrix, got {m.shape}")
@@ -170,9 +169,7 @@ def make_ghz(d: int, t: int) -> QuditRegister:
 def phase_gate(d: int, s: int) -> LocalUnitary:
     """Diagonal gate |k> -> w^(s*k) |k> with w = exp(2*pi*i/d)."""
     _check_size(d, 2)  # a dense d x d matrix counts against the amplitude cap
-    s = _as_int(s, "phase exponent")
-    if not 0 <= s < d:
-        raise ValueError(f"phase exponent must be in [0, {d}), got {s}")
+    s = _as_int(s, "phase exponent", 0, d)
     k = np.arange(d)
     return LocalUnitary(d, np.diag(np.exp(2j * np.pi * (s * k % d) / d)))
 
@@ -197,7 +194,7 @@ def apply_local(reg: QuditRegister, q: int, u: LocalUnitary) -> QuditRegister:
     """Apply u to qudit q (1-based), identity on the rest."""
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
-    _check_qudit_index(q, reg.t)
+    q = _check_qudit_index(q, reg.t)
     psi = reg.amps.reshape((reg.d,) * reg.t)
     out = np.tensordot(u.m, psi, axes=([1], [q - 1]))  # contracted axis lands in front
     return QuditRegister(reg.d, reg.t, np.moveaxis(out, 0, q - 1))  # QuditRegister copies once, into C order
@@ -205,7 +202,7 @@ def apply_local(reg: QuditRegister, q: int, u: LocalUnitary) -> QuditRegister:
 
 def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:
     """Outcome distribution of measuring qudit q alone."""
-    _check_qudit_index(q, reg.t)
+    q = _check_qudit_index(q, reg.t)
     probs = np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
     others = tuple(i for i in range(reg.t) if i != q - 1)
     if others:

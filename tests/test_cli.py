@@ -1,9 +1,14 @@
 """CLI: exit codes, output formats, verdicts, file emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quditshare
 from quditshare import cli, protocol
 from quditshare.analysis import ReproductionError, reproduce_example_d4
 from quditshare.cli import main
@@ -364,6 +369,23 @@ def test_missing_required_flag_exit_2(capsys):
 
 def test_malformed_int_list_exit_2(capsys):
     assert run_cli(capsys, "shares", "--d", "5", "--secret-coeffs", "3,x", "--xs", "1")[0] == 2
+
+
+def test_python_m_entry_point(capsys):
+    src = str(Path(quditshare.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "quditshare", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    failed = run_module("shares", "--d", "4", "--secret-coeffs", "3,2", "--xs", "1,3")
+    assert failed.returncode == 3
+    assert "2 is not invertible mod 4" in failed.stderr
+    argv = ["shares", "--d", "7", "--secret-coeffs", "5,3,2", "--xs", "1,2,3,4"]
+    ok = run_module(*argv)
+    assert ok.returncode == 0
+    assert ok.stdout == run_cli(capsys, *argv)[1]
 
 
 def test_out_writes_only_configured_path(capsys, tmp_path, monkeypatch):

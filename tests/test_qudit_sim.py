@@ -105,6 +105,8 @@ def test_make_ghz_single_qudit_uniform():
 def test_make_ghz_size_cap():
     with pytest.raises(SizeCapExceeded):
         make_ghz(2, 23)  # 2^23 amplitudes > default cap of 2^22
+    with pytest.raises(SizeCapExceeded):
+        make_ghz(np.int64(1 << 16), 4)  # 2^64 amplitudes, which wrap to 0 in int64
     assert make_ghz(2, 22).amps.size == DEFAULT_SIZE_CAP
 
 
