@@ -4,6 +4,12 @@ Basis convention: the flat index I encodes digits (k_1, ..., k_t) with qudit 1
 as the MOST significant digit, I = k_1*d^(t-1) + ... + k_t. All reduced
 statistics (marginal, measure, draw, joint_distribution) follow this convention.
 
+Gates act on one axis of the (d,)*t amplitude array by their structure: a
+phase gate (DiagonalGate) as a broadcast multiply, the Fourier gates
+(FourierGate) as an orthonormal FFT, and a user LocalUnitary by tensordot
+after an O(d^3) unitarity check. Every gate's .m is its dense d x d matrix,
+built on demand for tests and the dense oracle.
+
 Registers and gates are immutable; every operation returns a fresh value, so
 they are safe to share across threads. Phase exponents are reduced mod d
 before exponentiation, keeping equal roots of unity bitwise-comparable.
@@ -128,6 +134,65 @@ class LocalUnitary:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
+    def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
+        """m applied along one axis of the (d,)*t amplitude array."""
+        out = np.tensordot(self.m, psi, axes=([1], [axis]))  # contracted axis lands in front
+        return np.moveaxis(out, 0, axis)
+
+
+@dataclass(frozen=True, eq=False)
+class DiagonalGate:
+    """The diagonal unitary diag(phases), applied as a broadcast multiply.
+
+    Its unitarity check is O(d): diag(p) diag(p)^dagger - 1 is diag(|p_k|^2 - 1).
+    """
+
+    phases: np.ndarray
+
+    def __post_init__(self):
+        phases = np.array(self.phases, dtype=np.complex128).reshape(-1)
+        defect = np.max(np.abs(np.abs(phases) ** 2 - 1.0))
+        if defect > NORM_TOL:
+            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        phases.setflags(write=False)
+        object.__setattr__(self, "phases", phases)
+
+    @property
+    def d(self) -> int:
+        return self.phases.size
+
+    @property
+    def m(self) -> np.ndarray:
+        """The dense d x d matrix."""
+        return np.diag(self.phases)
+
+    def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
+        return psi * self.phases.reshape((-1,) + (1,) * (psi.ndim - 1 - axis))
+
+
+@dataclass(frozen=True)
+class FourierGate:
+    """The Fourier transform on one qudit, applied as an orthonormal FFT along its axis.
+
+    The inverse transform, entry (j, k) = w^(-j*k) / sqrt(d), is numpy's
+    forward FFT; the forward transform, its conjugate transpose, is numpy's
+    inverse FFT. Unitary by construction, so it holds no entries to check.
+    """
+
+    d: int
+    inverse: bool
+
+    @property
+    def m(self) -> np.ndarray:
+        """The dense d x d matrix, from the closed form."""
+        jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
+        sign = -1 if self.inverse else 1
+        return np.exp(sign * 2j * np.pi * jk / self.d) / np.sqrt(self.d)
+
+    def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
+        fft = np.fft.fft if self.inverse else np.fft.ifft
+        return fft(psi, axis=axis, norm="ortho")
+
 
 @dataclass(frozen=True, eq=False)
 class MarginalDistribution:
@@ -166,38 +231,39 @@ def make_ghz(d: int, t: int) -> QuditRegister:
     return QuditRegister(d, t, amps)
 
 
-def phase_gate(d: int, s: int) -> LocalUnitary:
+def phase_gate(d: int, s: int) -> DiagonalGate:
     """Diagonal gate |k> -> w^(s*k) |k> with w = exp(2*pi*i/d)."""
-    _check_size(d, 2)  # a dense d x d matrix counts against the amplitude cap
+    _check_size(d, 2)  # its dense d x d matrix counts against the amplitude cap
     s = _as_int(s, "phase exponent", 0, d)
     k = np.arange(d)
-    return LocalUnitary(d, np.diag(np.exp(2j * np.pi * (s * k % d) / d)))
+    return DiagonalGate(np.exp(2j * np.pi * (s * k % d) / d))
 
 
-def qft_inv(d: int) -> LocalUnitary:
+def qft_inv(d: int) -> FourierGate:
     """Inverse Fourier transform; entry (j, k) is w^(-j*k) / sqrt(d).
 
     With this sign convention the state (1/sqrt d) * sum_k w^(S*k) |k> of a
     single qudit maps exactly to |S mod d>.
     """
     _check_size(d, 2)
-    jk = np.outer(np.arange(d), np.arange(d)) % d
-    return LocalUnitary(d, np.exp(-2j * np.pi * jk / d) / np.sqrt(d))
+    return FourierGate(d, inverse=True)
 
 
-def qft(d: int) -> LocalUnitary:
+def qft(d: int) -> FourierGate:
     """Forward Fourier transform, the conjugate transpose of qft_inv."""
-    return LocalUnitary(d, qft_inv(d).m.conj().T)
+    _check_size(d, 2)
+    return FourierGate(d, inverse=False)
 
 
-def apply_local(reg: QuditRegister, q: int, u: LocalUnitary) -> QuditRegister:
+def apply_local(
+    reg: QuditRegister, q: int, u: LocalUnitary | DiagonalGate | FourierGate
+) -> QuditRegister:
     """Apply u to qudit q (1-based), identity on the rest."""
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
     q = _check_qudit_index(q, reg.t)
-    psi = reg.amps.reshape((reg.d,) * reg.t)
-    out = np.tensordot(u.m, psi, axes=([1], [q - 1]))  # contracted axis lands in front
-    return QuditRegister(reg.d, reg.t, np.moveaxis(out, 0, q - 1))  # QuditRegister copies once, into C order
+    out = u.act(reg.amps.reshape((reg.d,) * reg.t), q - 1)
+    return QuditRegister(reg.d, reg.t, out)  # QuditRegister copies once, into C order
 
 
 def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:

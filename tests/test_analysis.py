@@ -20,7 +20,16 @@ from quditshare.analysis import (
     verify_reference_states,
 )
 from quditshare.protocol import REPAIRED, VARIANTS, ProtocolParams
-from quditshare.qudit_sim import PRUNE_TOL, QuditRegister, basis_digits, basis_label, draw, make_ghz, measure
+from quditshare.qudit_sim import (
+    DEFAULT_SIZE_CAP,
+    PRUNE_TOL,
+    QuditRegister,
+    basis_digits,
+    basis_label,
+    draw,
+    make_ghz,
+    measure,
+)
 
 
 def d4_params(seed=0):
@@ -143,6 +152,13 @@ def test_repaired_success_probability_exact():
         s_vec = tuple(int(v) for v in rng.integers(0, d, size=t))
         params = ProtocolParams(d=d, t=t, s_vector=s_vec)
         assert repaired_success_probability_exact(params) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exact_analysis_at_the_amplitude_cap():
+    params = ProtocolParams(d=2048, t=2, s_vector=(5, 2046))
+    assert params.d**params.t == DEFAULT_SIZE_CAP
+    assert abs(success_probability_exact(params) - 1 / 2048) <= 1e-12
+    assert abs(repaired_success_probability_exact(params) - 1.0) <= 1e-12
 
 
 # Monte Carlo ------------------------------------------------------------------

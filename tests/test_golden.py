@@ -1,10 +1,17 @@
 """Golden bytes: SHA-256 of CLI outputs that no refactor may alter.
 
-The first seven hashes were recorded at quditshare 0.1.0 and hold unchanged
-since. The rest pin outputs that draw from the generator: Monte-Carlo
-estimates and repaired per-agent outcomes. Their stream is the 0.2.0 one (one
-uniform per trial of a single default_rng(seed), inverted on the measurers'
-outcome table), recorded at 0.2.0; changing it is a deliberate byte change.
+The first seven hashes were recorded at quditshare 0.1.0. The rest pin outputs
+that draw from the generator: Monte-Carlo estimates and repaired per-agent
+outcomes. Their stream is the 0.2.0 one (one uniform per trial of a single
+default_rng(seed), inverted on the measurers' outcome table), recorded at
+0.2.0; changing it is a deliberate byte change.
+
+Two pins were re-recorded at 0.2.1, when the Fourier gate became an FFT and
+the phase gate a broadcast multiply: sweep-repaired-structured and
+example-structured. Their JSON carries floats at full precision, and a few
+moved in the last bits (by at most 4.4e-16); every other output is unchanged.
+Those floats now rest on numpy's FFT, so a numpy that rounds its FFT
+differently can move them again.
 """
 
 import hashlib
@@ -36,7 +43,7 @@ GOLDEN = {
     ),
     "sweep-repaired-structured": (
         ["sweep", "--variant", "repaired", "--format", "structured"],
-        "524eff60a0e57986c48e8930038e2fdb48d259d42b2271e5e2c09e235ec26bab",
+        "43421a19c91d73f92260bff2729cdb9a858711cccf011da12fc6154510360ed2",
     ),
     # the tables, marginal and exact lines; the Monte-Carlo line is cut off
     "example-above-monte-carlo": (
@@ -54,7 +61,7 @@ GOLDEN = {
     ),
     "example-structured": (
         ["example", "--format", "structured"],
-        "91a5eda1561d99102a071e90df63df1a405e02611d1fc55c8a5aa8fb158a8276",
+        "da24a0a5dd58ff3eb4143792b2d1c56343029545fabf61b57356a77619c2a9c5",
     ),
     "simulate-repaired-structured": (
         ["simulate", "--variant", "repaired", "--d", "4", "--s-vector", "3,0,0", "--format", "structured"],

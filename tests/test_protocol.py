@@ -1,6 +1,7 @@
 """Protocol runs: transcript shape, variant outcomes, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from quditshare.protocol import (
     run_song_original,
 )
 from quditshare.qudit_sim import (
+    LocalUnitary,
     QuditRegister,
     SizeCapExceeded,
     ZeroNormProjection,
@@ -182,6 +184,18 @@ def test_counterfactual_exhaustive():
             assert flow.run(params).final_outcome == s_total
 
 
+def test_counterfactual_at_wide_d_builds_no_dense_gate():
+    # one dense 2048 x 2048 complex gate alone would be 64 MiB
+    tracemalloc.start()
+    try:
+        tr = VARIANTS[PRODUCT_COUNTERFACTUAL].run(ProtocolParams(2048, 1, s_vector=(1,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.final_outcome == tr.expected_secret == 1
+    assert peak < 16 * 2**20
+
+
 def test_counterfactual_rejects_out_of_range():
     with pytest.raises(ValueError):
         VARIANTS[PRODUCT_COUNTERFACTUAL].run(ProtocolParams(4, 1, s_vector=(4,)))
@@ -219,20 +233,33 @@ def test_repaired_single_agent():
 
 # registry against the dense oracle ---------------------------------------------------
 
+def _dense(gate):
+    """A library gate as a plain matrix, applied by the tensordot path."""
+    return LocalUnitary(gate.d, gate.m)
+
+
+def _dense_encoding(params):
+    """post_encoding_state with every phase gate applied as a dense matrix."""
+    reg = make_ghz(params.d, params.t)
+    for r, s_r in enumerate(params.share_terms(), start=1):
+        reg = apply_local(reg, r, _dense(phase_gate(params.d, s_r)))
+    return reg
+
+
 def _lone_oracle(params):
-    return marginal(apply_local(post_encoding_state(params), 1, qft_inv(params.d)), 1).probs
+    return marginal(apply_local(_dense_encoding(params), 1, _dense(qft_inv(params.d))), 1).probs
 
 
 def _product_oracle(params):
     d = params.d
-    reg = apply_local(make_ghz(d, 1), 1, phase_gate(d, params.expected_secret))
-    return marginal(apply_local(reg, 1, qft_inv(d)), 1).probs
+    reg = apply_local(make_ghz(d, 1), 1, _dense(phase_gate(d, params.expected_secret)))
+    return marginal(apply_local(reg, 1, _dense(qft_inv(d))), 1).probs
 
 
 def _all_measure_oracle(params):
-    reg = post_encoding_state(params)
+    reg = _dense_encoding(params)
     for r in range(1, params.t + 1):
-        reg = apply_local(reg, r, qft_inv(params.d))
+        reg = apply_local(reg, r, _dense(qft_inv(params.d)))
     probs = np.zeros(params.d)
     for digits, p in joint_distribution(reg).entries.items():
         probs[sum(digits) % params.d] += p
@@ -269,14 +296,17 @@ def test_registry_distribution_matches_dense_oracle(params):
         probs = flow.distribution(params).probs
         oracle = ORACLES[name](params)
         assert np.max(np.abs(probs - oracle)) <= 1e-12, name
+        flow_params = flow.params_for(params)
+        measured = flow.measurers(flow_params.t)
         if not flow.all_measure:
-            assert np.array_equal(probs, oracle), name  # the lone measurer is marginal, bit for bit
+            # the lone measurer is the library register's marginal, bit for bit
+            reg = apply_local(post_encoding_state(flow_params), 1, qft_inv(params.d))
+            assert np.array_equal(probs, marginal(reg, 1).probs), name
         # the outcome table is the joint distribution of the flow's register, with
         # every measurer Fourier-inverted, summed over the unmeasured qudits
-        reg = post_encoding_state(flow.params_for(params))
-        measured = flow.measurers(reg.t)
+        reg = _dense_encoding(flow_params)
         for r in measured:
-            reg = apply_local(reg, r, qft_inv(reg.d))
+            reg = apply_local(reg, r, _dense(qft_inv(reg.d)))
         expected = np.zeros((reg.d,) * len(measured))
         for digits, p in joint_distribution(reg).entries.items():
             expected[tuple(digits[r - 1] for r in measured)] += p

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quditshare.qudit_sim import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
+    DiagonalGate,
     DimensionMismatch,
     IndexOutOfRange,
     LocalUnitary,
@@ -187,6 +188,11 @@ def test_qft_inv_recovers_phase_slope(d):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_qft_unitarity(d):
+    # the FFT's action on each basis state rebuilds the closed-form matrix, which is unitary
+    for gate in (qft_inv(d), qft(d)):
+        m = np.stack([apply_local(basis_state(d, 1, (k,)), 1, gate).amps for k in range(d)], axis=1)
+        np.testing.assert_allclose(m, gate.m, atol=1e-12)
+        np.testing.assert_allclose(m @ m.conj().T, np.eye(d), atol=1e-10)
     np.testing.assert_allclose(qft(d).m @ qft_inv(d).m, np.eye(d), atol=1e-10)
 
 
@@ -232,6 +238,35 @@ def test_apply_local_matches_kron_oracle(q):
     expected = full @ reg.amps
     out = apply_local(reg, q, u)
     np.testing.assert_allclose(out.amps, expected, atol=1e-12)
+
+
+def _assert_library_gates_match_dense(d, t, s, seed):
+    # each library gate acts by its structure; LocalUnitary(d, gate.m) is the tensordot oracle
+    reg = random_register(d, t, seed)
+    for gate in (phase_gate(d, s), qft_inv(d), qft(d)):
+        dense = LocalUnitary(d, gate.m)
+        for q in range(1, t + 1):
+            fast = apply_local(reg, q, gate).amps
+            assert np.max(np.abs(fast - apply_local(reg, q, dense).amps)) <= 1e-12
+
+
+@st.composite
+def _gate_case(draw):
+    # every (d, t) with d <= 64 and d^t <= 4096
+    t = draw(st.integers(1, 12))
+    d = draw(st.integers(2, min(64, int(round(4096 ** (1 / t))))).filter(lambda d: d**t <= 4096))
+    return d, t, draw(st.integers(0, d - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_gate_case())
+def test_library_gates_match_dense_oracle(case):
+    _assert_library_gates_match_dense(*case)
+
+
+@pytest.mark.parametrize("d, t", [(384, 2), (2048, 1)])
+def test_library_gates_match_dense_oracle_at_wide_d(d, t):
+    _assert_library_gates_match_dense(d, t, d - 1, seed=d)
 
 
 def test_encoding_reaches_reference_state():
@@ -473,6 +508,8 @@ def test_local_unitary_validation():
         LocalUnitary(2, np.array([[1, 0], [0, 2]], dtype=complex))
     with pytest.raises(ValueError):
         LocalUnitary(3, np.eye(2))
+    with pytest.raises(ValueError, match="not unitary"):
+        DiagonalGate(np.array([1, 2], dtype=complex))
 
 
 def test_basis_label_formats():
