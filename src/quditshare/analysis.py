@@ -18,8 +18,10 @@ from .protocol import (
 )
 from .qudit_sim import (
     PRUNE_TOL,
+    RETAINED_TOL,
     MarginalDistribution,
     QuditRegister,
+    _check_tol,
     apply_local,
     basis_digits,
     basis_label,
@@ -66,8 +68,7 @@ class AmplitudeTable:
     norm_check: float
 
     def __post_init__(self):
-        if abs(self.norm_check - 1.0) > 1e-9:
-            raise ValueError(f"listed rows have squared-modulus sum {self.norm_check}")
+        _check_tol(abs(self.norm_check - 1.0), RETAINED_TOL, "listed |amps|^2 do not sum to 1: |norm_check - 1|")
 
     def to_text_rows(self, indent: str = "  ") -> list[str]:
         width = max(len(label) for label, _, _ in self.rows)
@@ -185,13 +186,11 @@ def verify_reference_states(
     if params.expected_secret != REF_SECRET:
         raise ValueError(f"split {s_split} does not sum to {REF_SECRET} mod {REF_D}")
     encoded = post_encoding_state(params)
-    err = float(np.max(np.abs(encoded.amps - _reference_post_encoding_amps())))
-    if err > REF_TOL:
-        raise ReproductionError(f"encoded state deviates by {err:.3e} (> {REF_TOL})")
+    _check_tol(np.max(np.abs(encoded.amps - _reference_post_encoding_amps())), REF_TOL,
+               "encoded state deviates from its closed form: max|error|", ReproductionError)
     transformed = apply_local(encoded, 1, qft_inv(REF_D))
-    err = float(np.max(np.abs(transformed.amps - _reference_transformed_amps())))
-    if err > REF_TOL:
-        raise ReproductionError(f"transformed state deviates by {err:.3e} (> {REF_TOL})")
+    _check_tol(np.max(np.abs(transformed.amps - _reference_transformed_amps())), REF_TOL,
+               "transformed state deviates from its closed form: max|error|", ReproductionError)
     return encoded, transformed
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import ReproductionError, reproduce_example_d4
 from .modmath import NotInvertible, SharePolynomial, _as_int, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
-from .qudit_sim import SIZE_CAP_ENV
+from .qudit_sim import SIZE_CAP_ENV, _check_tol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,12 +178,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 expected = np.full(d, 1.0 / d)
             else:
                 expected = np.eye(d)[secret]
-            deviation = float(np.max(np.abs(dist - expected)))
-            if deviation > SWEEP_TOL:
-                raise ReproductionError(
-                    f"d={d} t={t} s={s}: outcome distribution {dist.tolist()!r} "
-                    f"deviates from expected by {deviation!r}"
-                )
+            _check_tol(np.max(np.abs(dist - expected)), SWEEP_TOL,
+                       f"d={d} t={t} s={s}: outcome distribution {dist.tolist()!r} "
+                       "deviates from expected: max|error|", ReproductionError)
             entries.append({
                 "d": d, "t": t, "s": list(s),
                 "p": float(dist[secret]), "expected": float(expected[secret]),

@@ -11,8 +11,9 @@ after an O(d^3) unitarity check. Every gate's .m is its dense d x d matrix,
 built on demand for tests and the dense oracle.
 
 Registers and gates are immutable; every operation returns a fresh value, so
-they are safe to share across threads. Phase exponents are reduced mod d
-before exponentiation, keeping equal roots of unity bitwise-comparable.
+they are safe to share across threads. Phase exponents are reduced mod d before
+exponentiation, keeping equal roots of unity bitwise-comparable. Every invariant
+is compared with its bound by _check_tol alone, which NaN and inf fail.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ SIZE_CAP_ENV = "QUDITSHARE_SIZE_CAP"
 
 NORM_TOL = 1e-10
 PRUNE_TOL = 1e-12
+RETAINED_TOL = 1e-9  # mass of a listing that omits entries below PRUNE_TOL
 
 
 class SizeCapExceeded(ValueError):
@@ -45,6 +47,12 @@ class IndexOutOfRange(IndexError):
 
 class ZeroNormProjection(ArithmeticError):
     """Projection onto a branch of probability below PRUNE_TOL."""
+
+
+def _check_tol(deviation: float, tol: float, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise error unless deviation <= tol; NaN compares false, so it fails like inf."""
+    if not deviation <= tol:
+        raise error(f"{what} is {float(deviation)!r}, not within the bound {tol!r}")
 
 
 def size_cap() -> int:
@@ -101,9 +109,7 @@ class QuditRegister:
         amps = np.array(self.amps, dtype=np.complex128, order="C").reshape(-1)
         if amps.size != self.d**self.t:
             raise ValueError(f"expected {self.d ** self.t} amplitudes, got {amps.size}")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"register is not normalized: |amps|^2 = {norm_sq}")
+        _check_tol(abs(np.vdot(amps, amps).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -128,9 +134,7 @@ class LocalUnitary:
         m = np.array(self.m, dtype=np.complex128)
         if m.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d}x{self.d} matrix, got {m.shape}")
-        defect = np.max(np.abs(m @ m.conj().T - np.eye(self.d)))
-        if defect > NORM_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        _check_tol(np.max(np.abs(m @ m.conj().T - np.eye(self.d))), NORM_TOL, "matrix is not unitary: defect")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
@@ -151,9 +155,7 @@ class DiagonalGate:
 
     def __post_init__(self):
         phases = np.array(self.phases, dtype=np.complex128).reshape(-1)
-        defect = np.max(np.abs(np.abs(phases) ** 2 - 1.0))
-        if defect > NORM_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        _check_tol(np.max(np.abs(np.abs(phases) ** 2 - 1.0)), NORM_TOL, "matrix is not unitary: defect")
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
 
@@ -202,10 +204,9 @@ class MarginalDistribution:
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float).reshape(-1)
-        if np.any(probs < -NORM_TOL) or np.any(probs > 1.0 + NORM_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > NORM_TOL:
-            raise ValueError("probabilities must sum to 1")
+        _check_tol(-probs.min(initial=0.0), NORM_TOL, "probabilities must lie in [0, 1]: -min(probs)")
+        _check_tol(probs.max(initial=0.0), 1.0 + NORM_TOL, "probabilities must lie in [0, 1]: max(probs)")
+        _check_tol(abs(float(probs.sum()) - 1.0), NORM_TOL, "probabilities must sum to 1: |sum - 1|")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -217,9 +218,8 @@ class JointDistribution:
     entries: dict[tuple[int, ...], float]
 
     def __post_init__(self):
-        total = sum(self.entries.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"retained probabilities sum to {total}, not 1")
+        _check_tol(abs(sum(self.entries.values()) - 1.0), RETAINED_TOL,
+                   "retained probabilities do not sum to 1: |sum - 1|")
 
 
 def make_ghz(d: int, t: int) -> QuditRegister:
@@ -282,8 +282,11 @@ def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     Scaling by the CDF's top keeps every draw in [0, 1) off branches of zero
     probability, even when rounding leaves the top just below 1. A draw past
     the top is clamped onto the last branch, and refused if that branch is empty.
+    A table holding a NaN or an infinite entry is refused.
     """
     cumsum = np.cumsum(probs)
+    if not np.isfinite(cumsum[-1]):
+        raise ValueError(f"probabilities must be finite, got a total of {float(cumsum[-1])!r}")
     idx = np.minimum(np.searchsorted(cumsum, u * cumsum[-1], side="right"), probs.size - 1)
     if np.any(probs[idx] < PRUNE_TOL):
         raise ZeroNormProjection(f"a draw landed on a branch of probability below {PRUNE_TOL}")

@@ -12,13 +12,21 @@ example-structured. Their JSON carries floats at full precision, and a few
 moved in the last bits (by at most 4.4e-16); every other output is unchanged.
 Those floats now rest on numpy's FFT, so a numpy that rounds its FFT
 differently can move them again.
+
+Each output is also stored as tests/golden/<name>.txt (.json for structured
+output) and compared byte for byte, so a mismatch shows as a unified diff; the
+hash stays as a second check, and each file must hash to its pin.
 """
 
+import difflib
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from quditshare.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN = {
     "shares": (
@@ -70,6 +78,16 @@ GOLDEN = {
 }
 
 
+def golden_path(name: str) -> Path:
+    argv, _ = GOLDEN[name]
+    return GOLDEN_DIR / (name + (".json" if "structured" in argv else ".txt"))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_file_matches_its_pin(name):
+    assert hashlib.sha256(golden_path(name).read_bytes()).hexdigest() == GOLDEN[name][1]
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_output_bytes_unchanged(capsys, name):
     argv, digest = GOLDEN[name]
@@ -77,4 +95,12 @@ def test_output_bytes_unchanged(capsys, name):
     out = capsys.readouterr().out
     if name == "example-above-monte-carlo":
         out = out[: out.index("monte carlo:")]
+    path = golden_path(name)
+    expected = path.read_bytes()
+    if out.encode() != expected:
+        diff = difflib.unified_diff(
+            expected.decode().splitlines(keepends=True), out.splitlines(keepends=True),
+            fromfile=str(path.relative_to(GOLDEN_DIR.parent)), tofile="output",
+        )
+        pytest.fail("output differs from its golden file:\n" + "".join(diff), pytrace=False)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
