@@ -49,6 +49,15 @@ _REF_TRANSFORMED_COLUMNS = (
 )
 
 
+def published(x: float) -> float:
+    """A computed probability at the 12 significant digits the text output prints.
+
+    Structured output publishes it so, so its bytes do not rest on how a
+    Fourier transform rounds the last bits.
+    """
+    return float(f"{x:.12g}")
+
+
 class ReproductionError(AssertionError):
     """A computed state disagrees with its pinned closed form."""
 
@@ -222,8 +231,8 @@ class ExampleReport:
             },
             "encoded_table": self.encoded_table.to_dict(),
             "transformed_table": self.transformed_table.to_dict(),
-            "marginal": list(self.marginal),
-            "exact_p": self.exact_p,
+            "marginal": [published(p) for p in self.marginal],
+            "exact_p": published(self.exact_p),
             "mc": {
                 "trials": self.mc_trials,
                 "seed": self.mc_seed,

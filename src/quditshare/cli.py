@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ReproductionError, reproduce_example_d4
+from .analysis import ReproductionError, published, reproduce_example_d4
 from .modmath import NotInvertible, SharePolynomial, _as_int, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
 from .qudit_sim import SIZE_CAP_ENV, _check_tol
@@ -183,7 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                        "deviates from expected: max|error|", ReproductionError)
             entries.append({
                 "d": d, "t": t, "s": list(s),
-                "p": float(dist[secret]), "expected": float(expected[secret]),
+                "p": published(dist[secret]), "expected": float(expected[secret]),
             })
     lines = [f"variant: {args.variant} seed={args.seed}", " d  t  exact_p         expected"]
     lines.extend(

@@ -3,11 +3,16 @@
 Every variant shares one flow. The first agent prepares a GHZ state and
 distributes one qudit per agent; every agent encodes its Lagrange term as a
 diagonal phase; the variant's measurers Fourier-invert and measure, and the
-final outcome is the sum of their results mod d. The register stays inside the
-flow: Variant.outcome_table(params) hands out the Born table of the measurers'
-joint outcome, which gives the exact distribution and every draw, of the
-runner and of Monte Carlo alike; the runner writes its transcript from the
-parameters and the drawn outcomes.
+final outcome is the sum of their results mod d.
+
+Every state the flow reaches is sum_k c_k |k...k> with c_k = w^(S*k) / sqrt(d),
+so its laws need only the d branch amplitudes c, never the d^t register:
+branch_register(params) encodes c on one qudit with the library's own GHZ
+and phase gates, and the size cap still bounds the register it stands for.
+Variant.distribution(params) gives the final outcome's exact law, and
+Variant.outcome_table(params) the Born table of the measurers' joint outcome,
+which every draw reads, of the runner and of Monte Carlo alike; the runner
+writes its transcript from the parameters and the drawn outcomes.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -40,6 +45,7 @@ from .modmath import (
 from .qudit_sim import (
     MarginalDistribution,
     QuditRegister,
+    _check_size,
     apply_local,
     draw,
     make_ghz,
@@ -222,12 +228,27 @@ class ProtocolParams:
         return sum(self.s_vector) % self.d
 
 
-def post_encoding_state(params: ProtocolParams) -> QuditRegister:
-    """The register after all phase encodings, before any measurement."""
-    reg = make_ghz(params.d, params.t)
-    for r, s_r in enumerate(params.share_terms(), start=1):
-        reg = apply_local(reg, r, phase_gate(params.d, s_r))
+def branch_register(params: ProtocolParams) -> QuditRegister:
+    """One qudit carrying the branch amplitudes c_k of the encoded state sum_k c_k |k...k>.
+
+    Built like the t-qudit register, from a GHZ state and every agent's phase
+    gate, so the gates' unitarity and the norm are checked; the size cap bounds
+    the d^t register it stands for.
+    """
+    _check_size(params.d, params.t)
+    reg = make_ghz(params.d, 1)
+    for s_r in params.share_terms():
+        reg = apply_local(reg, 1, phase_gate(params.d, s_r))
     return reg
+
+
+def post_encoding_state(params: ProtocolParams) -> QuditRegister:
+    """The register after all phase encodings, before any measurement: c scattered onto |k...k>."""
+    d, t = params.d, params.t
+    amps = np.zeros(d**t, dtype=np.complex128)
+    # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
+    amps[:: (d**t - 1) // (d - 1)] = branch_register(params).amps
+    return QuditRegister(d, t, amps)
 
 
 @dataclass(frozen=True)
@@ -244,60 +265,66 @@ class Variant:
     product: bool = False
 
     def params_for(self, params: ProtocolParams) -> ProtocolParams:
-        """The parameters of the register this flow actually runs on."""
+        """The register this flow runs on, with its terms derived once as an s_vector."""
+        terms = params.share_terms()
         if self.product:
-            s_total = sum(params.share_terms()) % params.d
-            return ProtocolParams(params.d, 1, s_vector=(s_total,), seed=params.seed)
-        return params
+            return ProtocolParams(params.d, 1, s_vector=(sum(terms) % params.d,), seed=params.seed)
+        return ProtocolParams(params.d, params.t, params.n, s_vector=terms, seed=params.seed)
 
     def measurers(self, t: int) -> range:
         return range(1, t + 1 if self.all_measure else 2)
 
+    def distribution(self, params: ProtocolParams) -> MarginalDistribution:
+        """Exact distribution of the final outcome over Z_d, from the branch amplitudes c.
+
+        Fourier-inverting every qudit, or a lone one (t = 1), gives |F^-1 c|^2. A
+        lone measurer entangled with t-1 others sees the branches dephased:
+        every outcome has probability sum_k |c_k|^2 / d.
+        """
+        params = self.params_for(params)
+        branch = branch_register(params)
+        if self.all_measure or params.t == 1:
+            return marginal(apply_local(branch, 1, qft_inv(params.d)), 1)
+        return MarginalDistribution(np.full(params.d, np.vdot(branch.amps, branch.amps).real / params.d))
+
     def outcome_table(self, params: ProtocolParams) -> np.ndarray:
         """Born probabilities of the measurers' joint outcome, one axis per measurer.
 
-        Encodes the flow's register and Fourier-inverts every measurer's qudit.
+        A lone measurer's table is the final-outcome law. With every qudit
+        inverted, the amplitude of (m_1, ..., m_t) is (F^-1 c)[sum m mod d] /
+        sqrt(d^(t-1)), so the joint law depends on the digit sum alone.
         """
-        reg = post_encoding_state(self.params_for(params))
-        f = qft_inv(reg.d)
-        for r in self.measurers(reg.t):
-            reg = apply_local(reg, r, f)
+        params = self.params_for(params)
+        law = self.distribution(params).probs
         if not self.all_measure:
-            return marginal(reg, 1).probs
-        return np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
+            return law
+        digit_sums = np.zeros((), dtype=np.intp)
+        for _ in range(params.t):
+            digit_sums = np.add.outer(digit_sums, np.arange(params.d)) % params.d
+        return law[digit_sums] / params.d ** (params.t - 1)
 
     def run(self, params: ProtocolParams) -> Transcript:
         """One seeded run; the final outcome is the measured results' sum mod d."""
-        table = self.outcome_table(params)
-        params = self.params_for(params)
-        outcomes = draw(table, np.random.default_rng(params.seed))[0].tolist()
+        flow_params = self.params_for(params)
+        outcomes = draw(self.outcome_table(flow_params), np.random.default_rng(params.seed))[0].tolist()
         events: list[ProtocolEvent] = [
-            QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, params.t + 1)
+            QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, flow_params.t + 1)
         ]
-        for r, s_r in enumerate(params.share_terms(), start=1):
+        for r, s_r in enumerate(flow_params.s_vector, start=1):
             events.append(GateApplied(agent=r, gate=f"U(0,{s_r})", s=s_r))
-        for r, m_r in zip(self.measurers(params.t), outcomes):
+        for r, m_r in zip(self.measurers(flow_params.t), outcomes):
             events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
             if self.all_measure:
                 events.append(Announced(agent=r, value=m_r))
         return Transcript(
             variant=self.name,
             d=params.d,
-            t=params.t,
+            t=flow_params.t,
             seed=params.seed,
             events=tuple(events),
             final_outcome=sum(outcomes) % params.d,
             expected_secret=params.expected_secret,
         )
-
-    def distribution(self, params: ProtocolParams) -> MarginalDistribution:
-        """Exact distribution of the final outcome over Z_d: the outcome table binned by digit sum mod d."""
-        table = self.outcome_table(params)
-        d = table.shape[0]
-        digit_sums = np.zeros(1, dtype=np.intp)
-        for _ in range(table.ndim):
-            digit_sums = np.add.outer(digit_sums, np.arange(d)).reshape(-1) % d
-        return MarginalDistribution(np.bincount(digit_sums, weights=table.reshape(-1), minlength=d))
 
 
 VARIANTS: dict[str, Variant] = {

@@ -134,7 +134,9 @@ class LocalUnitary:
         m = np.array(self.m, dtype=np.complex128)
         if m.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d}x{self.d} matrix, got {m.shape}")
-        _check_tol(np.max(np.abs(m @ m.conj().T - np.eye(self.d))), NORM_TOL, "matrix is not unitary: defect")
+        with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN defect, which the check refuses
+            defect = np.max(np.abs(m @ m.conj().T - np.eye(self.d)))
+        _check_tol(defect, NORM_TOL, "matrix is not unitary: defect")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
@@ -282,11 +284,12 @@ def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     Scaling by the CDF's top keeps every draw in [0, 1) off branches of zero
     probability, even when rounding leaves the top just below 1. A draw past
     the top is clamped onto the last branch, and refused if that branch is empty.
-    A table holding a NaN or an infinite entry is refused.
+    A table holding a NaN, an infinite or a negative entry is refused.
     """
     cumsum = np.cumsum(probs)
     if not np.isfinite(cumsum[-1]):
         raise ValueError(f"probabilities must be finite, got a total of {float(cumsum[-1])!r}")
+    _check_tol(-probs.min(), NORM_TOL, "probabilities must lie in [0, 1]: -min(probs)")
     idx = np.minimum(np.searchsorted(cumsum, u * cumsum[-1], side="right"), probs.size - 1)
     if np.any(probs[idx] < PRUNE_TOL):
         raise ZeroNormProjection(f"a draw landed on a branch of probability below {PRUNE_TOL}")

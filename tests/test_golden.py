@@ -8,10 +8,14 @@ default_rng(seed), inverted on the measurers' outcome table), recorded at
 
 Two pins were re-recorded at 0.2.1, when the Fourier gate became an FFT and
 the phase gate a broadcast multiply: sweep-repaired-structured and
-example-structured. Their JSON carries floats at full precision, and a few
-moved in the last bits (by at most 4.4e-16); every other output is unchanged.
-Those floats now rest on numpy's FFT, so a numpy that rounds its FFT
-differently can move them again.
+example-structured. Their JSON carried probabilities at full precision, and a
+few moved in the last bits (by at most 4.4e-16).
+
+At 0.2.2 structured output publishes every probability at the 12 significant
+digits the text output prints, so the published bytes no longer rest on how
+numpy's FFT rounds. Only sweep-repaired-structured moved: each of its p is now
+1.0 exactly. example-structured kept its bytes; its amplitude tables still
+carry numpy's raw exp and FFT floats, so they can still move with numpy.
 
 Each output is also stored as tests/golden/<name>.txt (.json for structured
 output) and compared byte for byte, so a mismatch shows as a unified diff; the
@@ -51,7 +55,7 @@ GOLDEN = {
     ),
     "sweep-repaired-structured": (
         ["sweep", "--variant", "repaired", "--format", "structured"],
-        "43421a19c91d73f92260bff2729cdb9a858711cccf011da12fc6154510360ed2",
+        "31bf97c704fb72d5aa34cb1435b361e1985bb2d68bb6a5efa94b4d8c24b3ae70",
     ),
     # the tables, marginal and exact lines; the Monte-Carlo line is cut off
     "example-above-monte-carlo": (

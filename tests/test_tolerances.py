@@ -37,8 +37,6 @@ VALIDATORS = {
 }
 
 
-# numpy notes the inf * 0 inside m @ m^dagger before the check refuses the matrix
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("bad", list(BAD))
 @pytest.mark.parametrize("name", list(VALIDATORS))
 def test_validators_refuse_nan_and_inf(name, bad):
@@ -50,6 +48,12 @@ def test_validators_refuse_nan_and_inf(name, bad):
 @pytest.mark.parametrize("table", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf], [np.inf], [-np.inf, 1.0]])
 def test_draw_refuses_a_non_finite_table(table):
     with pytest.raises(ValueError, match="must be finite"):
+        draw(np.array(table), np.random.default_rng(0), 5)
+
+
+@pytest.mark.parametrize("table", [[-0.5, 1.0, 0.5], [1.0, -2 * NORM_TOL]])
+def test_draw_refuses_a_negative_entry(table):
+    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]: -min\(probs\) is "):
         draw(np.array(table), np.random.default_rng(0), 5)
 
 
