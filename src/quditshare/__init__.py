@@ -75,4 +75,4 @@ from .qudit_sim import (
     size_cap,
 )
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"

@@ -25,7 +25,7 @@ from .qudit_sim import (
     apply_local,
     basis_digits,
     basis_label,
-    draw,
+    inverse_cdf,
     marginal,
     qft_inv,
 )
@@ -146,20 +146,20 @@ def success_probability_mc(
 ) -> tuple[float, float]:
     """Sampled success fraction and its binomial standard error.
 
-    The measurers' outcome table is built once; each trial is one uniform of a
-    single default_rng(seed) stream, inverted on that table and drawn MC_CHUNK
-    at a time, so the estimate is that of `trials` one-trial draws.
+    The variant's final-outcome law is built once; each trial is one uniform
+    of a single default_rng(seed) stream, inverted on that law and drawn
+    MC_CHUNK at a time, so the estimate is that of `trials` one-trial draws.
     """
     trials = _as_int(trials, "trial count", 1)
     seed = _as_int(seed, "seed", 0)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    table = VARIANTS[variant].outcome_table(params)
+    law = VARIANTS[variant].distribution(params).probs
     rng = np.random.default_rng(seed)
     hits = 0
     for start in range(0, trials, MC_CHUNK):
-        outcomes = draw(table, rng, min(MC_CHUNK, trials - start))
-        hits += int(np.count_nonzero(outcomes.sum(axis=1) % params.d == params.expected_secret))
+        outcomes = inverse_cdf(law, rng.random(min(MC_CHUNK, trials - start)))
+        hits += int(np.count_nonzero(outcomes == params.expected_secret))
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

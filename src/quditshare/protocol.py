@@ -9,10 +9,11 @@ Every state the flow reaches is sum_k c_k |k...k> with c_k = w^(S*k) / sqrt(d),
 so its laws need only the d branch amplitudes c, never the d^t register:
 branch_register(params) encodes c on one qudit with the library's own GHZ
 and phase gates, and the size cap still bounds the register it stands for.
-Variant.distribution(params) gives the final outcome's exact law, and
-Variant.outcome_table(params) the Born table of the measurers' joint outcome,
-which every draw reads, of the runner and of Monte Carlo alike; the runner
-writes its transcript from the parameters and the drawn outcomes.
+Variant.distribution(params), the final outcome's exact law, is the one law
+the runner and Monte Carlo draw from. When every agent measures, the runner
+then draws measurers 1..t-1 uniformly and the last one completes the sum,
+which is the measurers' joint Born law; it writes its transcript from the
+parameters and the drawn outcomes.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -47,7 +48,7 @@ from .qudit_sim import (
     QuditRegister,
     _check_size,
     apply_local,
-    draw,
+    inverse_cdf,
     make_ghz,
     marginal,
     phase_gate,
@@ -271,9 +272,6 @@ class Variant:
             return ProtocolParams(params.d, 1, s_vector=(sum(terms) % params.d,), seed=params.seed)
         return ProtocolParams(params.d, params.t, params.n, s_vector=terms, seed=params.seed)
 
-    def measurers(self, t: int) -> range:
-        return range(1, t + 1 if self.all_measure else 2)
-
     def distribution(self, params: ProtocolParams) -> MarginalDistribution:
         """Exact distribution of the final outcome over Z_d, from the branch amplitudes c.
 
@@ -287,42 +285,36 @@ class Variant:
             return marginal(apply_local(branch, 1, qft_inv(params.d)), 1)
         return MarginalDistribution(np.full(params.d, np.vdot(branch.amps, branch.amps).real / params.d))
 
-    def outcome_table(self, params: ProtocolParams) -> np.ndarray:
-        """Born probabilities of the measurers' joint outcome, one axis per measurer.
-
-        A lone measurer's table is the final-outcome law. With every qudit
-        inverted, the amplitude of (m_1, ..., m_t) is (F^-1 c)[sum m mod d] /
-        sqrt(d^(t-1)), so the joint law depends on the digit sum alone.
-        """
-        params = self.params_for(params)
-        law = self.distribution(params).probs
-        if not self.all_measure:
-            return law
-        digit_sums = np.zeros((), dtype=np.intp)
-        for _ in range(params.t):
-            digit_sums = np.add.outer(digit_sums, np.arange(params.d)) % params.d
-        return law[digit_sums] / params.d ** (params.t - 1)
-
     def run(self, params: ProtocolParams) -> Transcript:
-        """One seeded run; the final outcome is the measured results' sum mod d."""
+        """One seeded run; the final outcome is the measured results' sum mod d.
+
+        The run's first uniform draws the final outcome F from distribution().
+        When every agent measures, agents 1..t-1 read independent uniform
+        results and agent t reads F minus their sum: the joint Born law of the
+        measurers is law[sum m mod d] / d^(t-1), which this samples exactly.
+        """
         flow_params = self.params_for(params)
-        outcomes = draw(self.outcome_table(flow_params), np.random.default_rng(params.seed))[0].tolist()
-        events: list[ProtocolEvent] = [
-            QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, flow_params.t + 1)
-        ]
+        d, t = params.d, flow_params.t
+        rng = np.random.default_rng(params.seed)
+        final = int(inverse_cdf(self.distribution(flow_params).probs, rng.random()))
+        outcomes = [final]
+        if self.all_measure:
+            others = rng.integers(0, d, t - 1).tolist()
+            outcomes = others + [(final - sum(others)) % d]
+        events: list[ProtocolEvent] = [QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, t + 1)]
         for r, s_r in enumerate(flow_params.s_vector, start=1):
             events.append(GateApplied(agent=r, gate=f"U(0,{s_r})", s=s_r))
-        for r, m_r in zip(self.measurers(flow_params.t), outcomes):
+        for r, m_r in enumerate(outcomes, start=1):
             events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
             if self.all_measure:
                 events.append(Announced(agent=r, value=m_r))
         return Transcript(
             variant=self.name,
-            d=params.d,
-            t=flow_params.t,
+            d=d,
+            t=t,
             seed=params.seed,
             events=tuple(events),
-            final_outcome=sum(outcomes) % params.d,
+            final_outcome=sum(outcomes) % d,
             expected_secret=params.expected_secret,
         )
 

@@ -2,7 +2,8 @@
 
 Basis convention: the flat index I encodes digits (k_1, ..., k_t) with qudit 1
 as the MOST significant digit, I = k_1*d^(t-1) + ... + k_t. All reduced
-statistics (marginal, measure, draw, joint_distribution) follow this convention.
+statistics (marginal, measure, joint_distribution) follow this convention.
+Every seeded draw, measure's included, is inverse_cdf on a one-qudit law.
 
 Gates act on one axis of the (d,)*t amplitude array by their structure: a
 phase gate (DiagonalGate) as a broadcast multiply, the Fourier gates
@@ -294,12 +295,6 @@ def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     if np.any(probs[idx] < PRUNE_TOL):
         raise ZeroNormProjection(f"a draw landed on a branch of probability below {PRUNE_TOL}")
     return idx
-
-
-def draw(table: np.ndarray, rng: np.random.Generator, trials: int = 1) -> np.ndarray:
-    """(trials, table.ndim) indices into a Born table, one uniform of rng per trial."""
-    flat = inverse_cdf(table.reshape(-1), rng.random(trials))
-    return np.stack(np.unravel_index(flat, table.shape), axis=-1)
 
 
 def measure(

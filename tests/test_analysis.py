@@ -26,7 +26,7 @@ from quditshare.qudit_sim import (
     QuditRegister,
     basis_digits,
     basis_label,
-    draw,
+    inverse_cdf,
     make_ghz,
     measure,
 )
@@ -206,19 +206,20 @@ def _mc_case(draw):
     variant=st.sampled_from(list(VARIANTS)),
 )
 def test_mc_matches_consecutive_draws_on_one_stream(params, trials, seed, variant):
-    table = VARIANTS[variant].outcome_table(params)
+    law = VARIANTS[variant].distribution(params).probs
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
-        hits += int(draw(table, rng)[0].sum()) % params.d == params.expected_secret
+        hits += int(inverse_cdf(law, rng.random())) == params.expected_secret
     assert success_probability_mc(params, trials, seed, variant)[0] == hits / trials
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_mc_chunked_run_matches_one_draw(variant):
     params, trials = d4_params(), MC_CHUNK + 3
-    outcomes = draw(VARIANTS[variant].outcome_table(params), np.random.default_rng(8), trials)
-    hits = np.count_nonzero(outcomes.sum(axis=1) % params.d == params.expected_secret)
+    law = VARIANTS[variant].distribution(params).probs
+    outcomes = inverse_cdf(law, np.random.default_rng(8).random(trials))
+    hits = np.count_nonzero(outcomes == params.expected_secret)
     assert success_probability_mc(params, trials, 8, variant)[0] == hits / trials
 
 
@@ -237,14 +238,15 @@ def test_mc_prepares_the_register_once(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_mc_builds_the_outcome_table_once(monkeypatch, variant):
+    # the table an estimate reads is the variant's final-outcome law
     calls = []
-    outcome_table = protocol.Variant.outcome_table
+    distribution = protocol.Variant.distribution
 
-    def counting_outcome_table(self, *args):
+    def counting_distribution(self, *args):
         calls.append(self.name)
-        return outcome_table(self, *args)
+        return distribution(self, *args)
 
-    monkeypatch.setattr(protocol.Variant, "outcome_table", counting_outcome_table)
+    monkeypatch.setattr(protocol.Variant, "distribution", counting_distribution)
     success_probability_mc(d4_params(), trials=2 * MC_CHUNK + 1, seed=3, variant=variant)
     assert calls == [variant]
 

@@ -17,6 +17,16 @@ numpy's FFT rounds. Only sweep-repaired-structured moved: each of its p is now
 1.0 exactly. example-structured kept its bytes; its amplitude tables still
 carry numpy's raw exp and FFT floats, so they can still move with numpy.
 
+At 0.3.0 the runner and Monte Carlo read one law per variant, the final
+outcome's, and the measurers' d^t joint table is gone. Monte Carlo inverts
+one uniform per trial on that law, as before. A run's first uniform draws
+the final outcome F; when every agent measures, agents 1..t-1 then read
+rng.integers(0, d, t-1) and agent t announces F minus their sum mod d. Only
+the two repaired transcripts moved, simulate-repaired-polynomial and
+simulate-repaired-structured; both still recover the secret. Every
+Monte-Carlo estimate and every song-original and product transcript kept its
+bytes, since a lone measurer's table already was its law.
+
 Each output is also stored as tests/golden/<name>.txt (.json for structured
 output) and compared byte for byte, so a mismatch shows as a unified diff; the
 hash stays as a second check, and each file must hash to its pin.
@@ -62,10 +72,10 @@ GOLDEN = {
         ["example", "--trials", "10"],
         "bbc2228b05c5b5c2be84a549cfb4a15736b206c3b86eefeb93f6f974e0e1e5d0",
     ),
-    # 0.2.0 stream
+    # 0.2.0 stream; the repaired transcripts are 0.3.0's
     "simulate-repaired-polynomial": (
         ["simulate", "--variant", "repaired", "--d", "7", "--secret-coeffs", "5,3,2", "--xs", "1,2,3"],
-        "d6954913daeed6ad974ff33b07b35f9f5bf05e566faabc8653fbd86158238bde",
+        "1fa9f73bffe224cace652c4586b3a29d0f40b4664b50263eab0c7c9b5e0dd939",
     ),
     "example": (
         ["example"],
@@ -77,7 +87,7 @@ GOLDEN = {
     ),
     "simulate-repaired-structured": (
         ["simulate", "--variant", "repaired", "--d", "4", "--s-vector", "3,0,0", "--format", "structured"],
-        "2c28ab96acc23648d7346e63180495dd49d0f36cece22501abea2b62c897bc83",
+        "33085336625c2eed6a9917431823ba66a4d3ebe79d91d7996134443974708902",
     ),
 }
 

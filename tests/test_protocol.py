@@ -2,10 +2,13 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.stats
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditshare import cli, protocol
@@ -33,7 +36,7 @@ from quditshare.qudit_sim import (
     SizeCapExceeded,
     ZeroNormProjection,
     apply_local,
-    draw,
+    inverse_cdf,
     joint_distribution,
     make_ghz,
     marginal,
@@ -41,6 +44,8 @@ from quditshare.qudit_sim import (
     phase_gate,
     qft_inv,
 )
+
+from exact_oracle import exact_law
 
 
 def d4_params(seed=0):
@@ -243,6 +248,20 @@ def test_repaired_always_recovers_secret():
         assert tr.final_outcome == tr.expected_secret == 1
 
 
+def test_repaired_run_samples_the_joint_law():
+    # the announced tuples of 3,000 seeded runs against the dense oracle's joint law
+    params, runs = ProtocolParams(d=3, t=3, s_vector=(2, 1, 1)), 3000
+    expected = _joint_oracle(params, range(1, 4))
+    counts = np.zeros_like(expected)
+    for seed in range(runs):
+        tr = run_repaired_all_measure(replace(params, seed=seed))
+        assert tr.final_outcome == tr.expected_secret == 1
+        counts[tuple(e.value for e in tr.events if isinstance(e, Announced))] += 1
+    support = expected > 1e-12
+    assert counts[~support].sum() == 0
+    assert scipy.stats.chisquare(counts[support], expected[support] * runs).pvalue > 1e-3
+
+
 def test_repaired_single_agent():
     tr = run_repaired_all_measure(ProtocolParams(d=5, t=1, s_vector=(4,), seed=2))
     assert tr.final_outcome == 4
@@ -283,6 +302,17 @@ def _all_measure_oracle(params):
     return probs
 
 
+def _joint_oracle(params, measured):
+    """Joint law of the measured qudits' results, one axis per measurer, on the dense engine."""
+    reg = _dense_encoding(params)
+    for r in measured:
+        reg = apply_local(reg, r, _dense(qft_inv(reg.d)))
+    joint = np.zeros((reg.d,) * len(measured))
+    for digits, p in joint_distribution(reg).entries.items():
+        joint[tuple(digits[r - 1] for r in measured)] += p
+    return joint
+
+
 ORACLES = {
     SONG_ORIGINAL: _lone_oracle,
     PRODUCT_COUNTERFACTUAL: _product_oracle,
@@ -291,11 +321,11 @@ ORACLES = {
 
 
 @st.composite
-def s_vector_params(draw):
+def s_vector_params(draw, d_cap=64):
     # every (d, t) with d^t <= 4096; d <= 64 keeps the dense d x d gates cheap
     t = draw(st.integers(1, 12))
     d_max = 2
-    while (d_max + 1) ** t <= 4096 and d_max < 64:
+    while (d_max + 1) ** t <= 4096 and d_max < d_cap:
         d_max += 1
     d = draw(st.integers(2, d_max))
     s_vec = draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
@@ -314,7 +344,7 @@ def test_registry_distribution_matches_dense_oracle(params):
         oracle = ORACLES[name](params)
         assert np.max(np.abs(probs - oracle)) <= 1e-12, name
         flow_params = flow.params_for(params)
-        measured = flow.measurers(flow_params.t)
+        measured = range(1, flow_params.t + 1 if flow.all_measure else 2)
         if not flow.all_measure:
             # the lone measurer is the library register's marginal
             reg = apply_local(post_encoding_state(flow_params), 1, qft_inv(params.d))
@@ -322,17 +352,32 @@ def test_registry_distribution_matches_dense_oracle(params):
             if flow_params.t >= 2:
                 # entangled with t-1 others, it sees the branches dephased: every outcome alike
                 assert np.all(probs == probs[0]), name
-        # the outcome table is the joint distribution of the flow's register, with
-        # every measurer Fourier-inverted, summed over the unmeasured qudits
-        reg = _dense_encoding(flow_params)
-        for r in measured:
-            reg = apply_local(reg, r, _dense(qft_inv(reg.d)))
-        expected = np.zeros((reg.d,) * len(measured))
-        for digits, p in joint_distribution(reg).entries.items():
-            expected[tuple(digits[r - 1] for r in measured)] += p
-        table = flow.outcome_table(params)
-        assert table.shape == expected.shape, name
-        assert np.max(np.abs(table - expected)) <= 1e-12, name
+        # the measurers' joint law (the flow's register with every measurer
+        # Fourier-inverted, summed over the unmeasured qudits) is
+        # law[sum m mod d] / d^(measurers - 1), the law run samples
+        expected = _joint_oracle(flow_params, measured)
+        digit_sums = np.indices(expected.shape).sum(axis=0) % params.d
+        assert np.max(np.abs(probs[digit_sums] / params.d ** (len(measured) - 1) - expected)) <= 1e-12, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=s_vector_params(d_cap=16))
+@example(params=ProtocolParams(d=12, t=3, s_vector=(5, 7, 11)))
+@example(params=ProtocolParams(d=16, t=3, s_vector=(9, 0, 15)))
+@example(params=ProtocolParams(d=6, t=4, s_vector=(1, 2, 3, 4)))
+def test_registry_distribution_matches_exact_oracle(params):
+    # the theorem, as an equality in Z[w]: a lone measurer entangled with others
+    # reads every outcome with probability exactly 1/d, any other flow reads S
+    for name, flow in VARIANTS.items():
+        flow_params = flow.params_for(params)
+        measured = tuple(range(flow_params.t)) if flow.all_measure else (0,)
+        law = exact_law(params.d, flow_params.s_vector, measured)
+        if not flow.all_measure and flow_params.t >= 2:
+            assert law == [Fraction(1, params.d)] * params.d, name
+        else:
+            assert law == [Fraction(int(f == params.expected_secret)) for f in range(params.d)], name
+        probs = flow.distribution(params).probs
+        assert np.max(np.abs(probs - np.array(law, dtype=float))) <= 1e-12, name
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -351,15 +396,21 @@ def test_sweep_structured_bytes_match_the_dense_oracle(monkeypatch, capsys, vari
 def test_distribution_at_the_cap_builds_no_register(variant):
     # one 2048^2-amplitude register alone would be 64 MiB
     params = ProtocolParams(2048, 2, s_vector=(5, 7))
-    tracemalloc.start()
-    try:
-        probs = VARIANTS[variant].distribution(params).probs
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for step in ("distribution", "run"):
+        # a first run in the process imports numpy's random module (~0.85 MiB); warm it at d=2
+        getattr(VARIANTS[variant], step)(ProtocolParams(2, 2, s_vector=(1, 0)))
+        tracemalloc.start()
+        try:
+            result = getattr(VARIANTS[variant], step)(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, step
+    probs = VARIANTS[variant].distribution(params).probs
     expected = 1 / 2048 if variant == SONG_ORIGINAL else 1.0
     assert abs(probs[params.expected_secret] - expected) <= 1e-12
+    if variant != SONG_ORIGINAL:
+        assert result.final_outcome == params.expected_secret
 
 
 # draw -------------------------------------------------------------------------------
@@ -372,8 +423,8 @@ def test_every_library_table_draws(variant):
         t = 1
         while d**t <= 512:
             params = ProtocolParams(d, t, s_vector=tuple(int(v) for v in rng.integers(0, d, size=t)))
-            outcomes = draw(flow.outcome_table(params), rng, 5)
-            assert outcomes.shape == (5, len(flow.measurers(flow.params_for(params).t))), (d, t)
+            outcomes = inverse_cdf(flow.distribution(params).probs, rng.random(5))
+            assert outcomes.shape == (5,), (d, t)
             t += 1
 
 
@@ -386,9 +437,9 @@ def test_lone_draw_matches_measure(params, seed, variant):
     # pins song-original and product-counterfactual transcripts to measure's sampling
     flow = VARIANTS[variant]
     reg = apply_local(post_encoding_state(flow.params_for(params)), 1, qft_inv(params.d))
-    outcomes = draw(flow.outcome_table(params), np.random.default_rng(seed))
-    assert outcomes.shape == (1, 1)
-    assert outcomes[0, 0] == measure(reg, 1, np.random.default_rng(seed))[0]
+    outcome = measure(reg, 1, np.random.default_rng(seed))[0]
+    assert inverse_cdf(flow.distribution(params).probs, np.random.default_rng(seed).random()) == outcome
+    assert flow.run(replace(params, seed=seed)).final_outcome == outcome
 
 
 class ConstantRng:
@@ -401,31 +452,33 @@ class ConstantRng:
         return np.full(size, self.u)
 
 
-def _table_of(flow, reg):
-    """The outcome table flow reads off reg once its measurers are inverted."""
+def _law_of(flow, reg):
+    """The final-outcome law flow reads off reg once its measurers are inverted: the digit sum's."""
     if not flow.all_measure:
         return marginal(reg, 1).probs
-    return np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
+    table = np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
+    return np.bincount((np.indices(table.shape).sum(axis=0) % reg.d).ravel(), table.ravel(), reg.d)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_draw_largest_uniform_stays_on_supported_branch(variant):
-    # qudit 1 is (|0> + |1>)/sqrt 2, qudit 2 is |1>: the flat table's top sits just below 1
+    # qudit 1 is (|0> + |1>)/sqrt 2, qudit 2 is |1>: the law's top sits just below 1
     amps = np.kron(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), [0.0, 1.0, 0.0])
     flow = VARIANTS[variant]
-    table = _table_of(flow, QuditRegister(3, 2, amps))
-    assert np.cumsum(table)[-1] < 1.0
-    outcomes = draw(table, ConstantRng(float(np.nextafter(1.0, 0.0))), trials=3)
-    assert outcomes.shape == (3, len(flow.measurers(2)))
-    assert all(table[tuple(row)] > 0.4 for row in outcomes)
-    assert (outcomes[:, 0] == 1).all()
+    law = _law_of(flow, QuditRegister(3, 2, amps))
+    assert np.cumsum(law)[-1] < 1.0
+    outcomes = inverse_cdf(law, ConstantRng(float(np.nextafter(1.0, 0.0))).random(3))
+    assert outcomes.shape == (3,)
+    assert all(law[outcomes] > 0.4)
+    # qudit 1 reads 1, the last supported branch: alone, or summed with qudit 2's 1
+    assert (outcomes == (2 if flow.all_measure else 1)).all()
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_draw_uniform_past_one_raises(variant):
-    table = _table_of(VARIANTS[variant], QuditRegister(2, 2, np.array([1.0, 0.0, 0.0, 0.0])))
+    law = _law_of(VARIANTS[variant], QuditRegister(2, 2, np.array([1.0, 0.0, 0.0, 0.0])))
     with pytest.raises(ZeroNormProjection):
-        draw(table, ConstantRng(1.0))
+        inverse_cdf(law, ConstantRng(1.0).random(1))
 
 
 # post-encoding state ----------------------------------------------------------------

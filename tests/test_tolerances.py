@@ -21,7 +21,7 @@ from quditshare.qudit_sim import (
     MarginalDistribution,
     QuditRegister,
     _check_tol,
-    draw,
+    inverse_cdf,
 )
 
 BAD = {"nan": np.nan, "inf": np.inf}
@@ -48,13 +48,13 @@ def test_validators_refuse_nan_and_inf(name, bad):
 @pytest.mark.parametrize("table", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf], [np.inf], [-np.inf, 1.0]])
 def test_draw_refuses_a_non_finite_table(table):
     with pytest.raises(ValueError, match="must be finite"):
-        draw(np.array(table), np.random.default_rng(0), 5)
+        inverse_cdf(np.array(table), np.random.default_rng(0).random(5))
 
 
 @pytest.mark.parametrize("table", [[-0.5, 1.0, 0.5], [1.0, -2 * NORM_TOL]])
 def test_draw_refuses_a_negative_entry(table):
     with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]: -min\(probs\) is "):
-        draw(np.array(table), np.random.default_rng(0), 5)
+        inverse_cdf(np.array(table), np.random.default_rng(0).random(5))
 
 
 def test_check_tol_edges():
