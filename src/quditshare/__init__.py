@@ -53,7 +53,6 @@ from .qudit_sim import (
     DEFAULT_SIZE_CAP,
     NORM_TOL,
     PRUNE_TOL,
-    SIZE_CAP_ENV,
     DimensionMismatch,
     IndexOutOfRange,
     JointDistribution,

@@ -7,8 +7,8 @@ Commands:
   sweep     tabulate exact success probabilities over a (d, t) grid
 
 Exit codes: 0 success (a "no" verdict is still success), 2 invalid usage or
-configuration (including out-of-cap registers, an unwritable --out path and a
-QUDITSHARE_SIZE_CAP beyond the machine's memory), 3 modular division impossible
+configuration (including an unwritable --out path and a machine without the
+memory for a register within the size cap), 3 modular division impossible
 (non-invertible denominator), 4 reference-reproduction assertion failure.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import ReproductionError, published, reproduce_example_d4
 from .modmath import NotInvertible, SharePolynomial, _as_int, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
-from .qudit_sim import SIZE_CAP_ENV, _check_tol
+from .qudit_sim import DEFAULT_SIZE_CAP, _check_tol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,12 +218,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproductionError as exc:
         print(f"error: reference reproduction failed: {exc}", file=sys.stderr)
         return EXIT_REPRODUCTION
-    except ValueError as exc:  # ConfigError, the size cap and every other input check
+    except ValueError as exc:  # ConfigError and every other input check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
-        print(f"error: out of memory; {SIZE_CAP_ENV} allows a register this machine cannot hold",
-              file=sys.stderr)
+        print(f"error: out of memory; this machine cannot hold a register within the size cap "
+              f"of {DEFAULT_SIZE_CAP} amplitudes", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -8,7 +8,7 @@ final outcome is the sum of their results mod d.
 Every state the flow reaches is sum_k c_k |k...k> with c_k = w^(S*k) / sqrt(d),
 so its laws need only the d branch amplitudes c, never the d^t register:
 branch_register(params) encodes c on one qudit with the library's own GHZ
-and phase gates, and the size cap still bounds the register it stands for.
+and phase gates, so every protocol path runs up to the largest modulus.
 Variant.distribution(params), the final outcome's exact law, is the one law
 the runner and Monte Carlo draw from. When every agent measures, the runner
 then draws measurers 1..t-1 uniformly and the last one completes the sum,
@@ -233,10 +233,9 @@ def branch_register(params: ProtocolParams) -> QuditRegister:
     """One qudit carrying the branch amplitudes c_k of the encoded state sum_k c_k |k...k>.
 
     Built like the t-qudit register, from a GHZ state and every agent's phase
-    gate, so the gates' unitarity and the norm are checked; the size cap bounds
-    the d^t register it stands for.
+    gate, so the gates' unitarity and the norm are checked. It holds d
+    amplitudes, so no d^t size cap applies.
     """
-    _check_size(params.d, params.t)
     reg = make_ghz(params.d, 1)
     for s_r in params.share_terms():
         reg = apply_local(reg, 1, phase_gate(params.d, s_r))
@@ -246,6 +245,7 @@ def branch_register(params: ProtocolParams) -> QuditRegister:
 def post_encoding_state(params: ProtocolParams) -> QuditRegister:
     """The register after all phase encodings, before any measurement: c scattered onto |k...k>."""
     d, t = params.d, params.t
+    _check_size(d, t)
     amps = np.zeros(d**t, dtype=np.complex128)
     # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
     amps[:: (d**t - 1) // (d - 1)] = branch_register(params).amps
@@ -279,7 +279,10 @@ class Variant:
         lone measurer entangled with t-1 others sees the branches dephased:
         every outcome has probability sum_k |c_k|^2 / d.
         """
-        params = self.params_for(params)
+        return self._law(self.params_for(params))
+
+    def _law(self, params: ProtocolParams) -> MarginalDistribution:
+        """distribution() of parameters that params_for has already resolved."""
         branch = branch_register(params)
         if self.all_measure or params.t == 1:
             return marginal(apply_local(branch, 1, qft_inv(params.d)), 1)
@@ -296,7 +299,7 @@ class Variant:
         flow_params = self.params_for(params)
         d, t = params.d, flow_params.t
         rng = np.random.default_rng(params.seed)
-        final = int(inverse_cdf(self.distribution(flow_params).probs, rng.random()))
+        final = int(inverse_cdf(self._law(flow_params).probs, rng.random()))
         outcomes = [final]
         if self.all_measure:
             others = rng.integers(0, d, t - 1).tolist()

@@ -11,6 +11,9 @@ phase gate (DiagonalGate) as a broadcast multiply, the Fourier gates
 after an O(d^3) unitarity check. Every gate's .m is its dense d x d matrix,
 built on demand for tests and the dense oracle.
 
+Only code that allocates d^t amplitudes checks the size cap (_check_size):
+make_ghz, QuditRegister, protocol.post_encoding_state and every gate's .m.
+
 Registers and gates are immutable; every operation returns a fresh value, so
 they are safe to share across threads. Phase exponents are reduced mod d before
 exponentiation, keeping equal roots of unity bitwise-comparable. Every invariant
@@ -19,7 +22,6 @@ is compared with its bound by _check_tol alone, which NaN and inf fail.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,6 @@ import numpy as np
 from .modmath import _as_int
 
 DEFAULT_SIZE_CAP = 1 << 22  # amplitudes
-SIZE_CAP_ENV = "QUDITSHARE_SIZE_CAP"
 
 NORM_TOL = 1e-10
 PRUNE_TOL = 1e-12
@@ -35,7 +36,7 @@ RETAINED_TOL = 1e-9  # mass of a listing that omits entries below PRUNE_TOL
 
 
 class SizeCapExceeded(ValueError):
-    """Requested register would exceed the configured amplitude cap."""
+    """Requested register or dense matrix would exceed the amplitude cap."""
 
 
 class DimensionMismatch(ValueError):
@@ -57,21 +58,15 @@ def _check_tol(deviation: float, tol: float, what: str, error: type[Exception] =
 
 
 def size_cap() -> int:
-    """Current amplitude-count cap; override with a positive integer in QUDITSHARE_SIZE_CAP."""
-    raw = os.environ.get(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
-    try:
-        raw = int(raw)
-    except ValueError:
-        pass  # the text stays a string, which _as_int refuses under the variable's name
-    return _as_int(raw, SIZE_CAP_ENV, 1)
+    """The amplitude-count cap on every register and dense matrix the engine allocates."""
+    return DEFAULT_SIZE_CAP
 
 
 def _check_size(d: int, t: int) -> None:
     d = _as_int(d, "local dimension", 2)
     t = _as_int(t, "qudit count", 1)
-    cap = size_cap()
-    if d**t > cap:
-        raise SizeCapExceeded(f"{d}^{t} amplitudes exceed the cap of {cap}")
+    if d**t > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"{d}^{t} amplitudes exceed the cap of {DEFAULT_SIZE_CAP}")
 
 
 def _check_qudit_index(q: int, t: int) -> int:
@@ -169,6 +164,7 @@ class DiagonalGate:
     @property
     def m(self) -> np.ndarray:
         """The dense d x d matrix."""
+        _check_size(self.d, 2)
         return np.diag(self.phases)
 
     def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
@@ -190,6 +186,7 @@ class FourierGate:
     @property
     def m(self) -> np.ndarray:
         """The dense d x d matrix, from the closed form."""
+        _check_size(self.d, 2)
         jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
         sign = -1 if self.inverse else 1
         return np.exp(sign * 2j * np.pi * jk / self.d) / np.sqrt(self.d)
@@ -236,7 +233,7 @@ def make_ghz(d: int, t: int) -> QuditRegister:
 
 def phase_gate(d: int, s: int) -> DiagonalGate:
     """Diagonal gate |k> -> w^(s*k) |k> with w = exp(2*pi*i/d)."""
-    _check_size(d, 2)  # its dense d x d matrix counts against the amplitude cap
+    d = _as_int(d, "local dimension", 2)
     s = _as_int(s, "phase exponent", 0, d)
     k = np.arange(d)
     return DiagonalGate(np.exp(2j * np.pi * (s * k % d) / d))
@@ -248,14 +245,12 @@ def qft_inv(d: int) -> FourierGate:
     With this sign convention the state (1/sqrt d) * sum_k w^(S*k) |k> of a
     single qudit maps exactly to |S mod d>.
     """
-    _check_size(d, 2)
-    return FourierGate(d, inverse=True)
+    return FourierGate(_as_int(d, "local dimension", 2), inverse=True)
 
 
 def qft(d: int) -> FourierGate:
     """Forward Fourier transform, the conjugate transpose of qft_inv."""
-    _check_size(d, 2)
-    return FourierGate(d, inverse=False)
+    return FourierGate(_as_int(d, "local dimension", 2), inverse=False)
 
 
 def apply_local(

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,19 @@ from quditshare.analysis import (
     success_probability_mc,
     verify_reference_states,
 )
-from quditshare.protocol import REPAIRED, VARIANTS, ProtocolParams
+from quditshare.modmath import MAX_MODULUS
+from quditshare.protocol import (
+    PRODUCT_COUNTERFACTUAL,
+    REPAIRED,
+    VARIANTS,
+    ProtocolParams,
+    post_encoding_state,
+)
 from quditshare.qudit_sim import (
     DEFAULT_SIZE_CAP,
     PRUNE_TOL,
     QuditRegister,
+    SizeCapExceeded,
     basis_digits,
     basis_label,
     inverse_cdf,
@@ -159,6 +168,32 @@ def test_exact_analysis_at_the_amplitude_cap():
     assert params.d**params.t == DEFAULT_SIZE_CAP
     assert abs(success_probability_exact(params) - 1 / 2048) <= 1e-12
     assert abs(repaired_success_probability_exact(params) - 1.0) <= 1e-12
+
+
+def test_every_variant_past_the_old_cap():
+    # d^t = 2^64 amplitudes, past int64: every law and run allocates only the d branch amplitudes
+    params = ProtocolParams(MAX_MODULUS, 4, s_vector=(1, 2, 3, MAX_MODULUS - 1), seed=7)
+    # a first run in the process imports numpy's random module (~0.85 MiB); warm it at d=2
+    VARIANTS[REPAIRED].run(ProtocolParams(2, 2, s_vector=(1, 0)))
+    tracemalloc.start()
+    try:
+        song = success_probability_exact(params)
+        repaired = repaired_success_probability_exact(params)
+        product = VARIANTS[PRODUCT_COUNTERFACTUAL].distribution(params).probs[params.expected_secret]
+        runs = {name: flow.run(params) for name, flow in VARIANTS.items()}
+        estimate, _ = success_probability_mc(params, trials=1000, seed=3, variant=REPAIRED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert abs(song - 1 / MAX_MODULUS) <= 1e-12
+    assert abs(repaired - 1.0) <= 1e-12
+    assert abs(product - 1.0) <= 1e-12
+    for name in (REPAIRED, PRODUCT_COUNTERFACTUAL):
+        assert runs[name].final_outcome == params.expected_secret == 5
+    assert estimate == 1.0
+    with pytest.raises(SizeCapExceeded):  # np.zeros(2**64) would raise a plain ValueError
+        post_encoding_state(params)
 
 
 # Monte Carlo ------------------------------------------------------------------

@@ -33,7 +33,6 @@ from quditshare.qudit_sim import (
     LocalUnitary,
     MarginalDistribution,
     QuditRegister,
-    SizeCapExceeded,
     ZeroNormProjection,
     apply_local,
     inverse_cdf,
@@ -136,18 +135,16 @@ def test_run_derives_the_share_terms_once(monkeypatch, variant):
     for name in ("gen_shares", "lagrange_term"):
         fn = getattr(protocol, name)
         monkeypatch.setattr(protocol, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    params_for = Variant.params_for
+    monkeypatch.setattr(Variant, "params_for",
+                        lambda self, params: calls.append("params_for") or params_for(self, params))
     params = ProtocolParams(
         d=7, t=3, polynomial=SharePolynomial(7, (5, 3, 2)), abscissae=(1, 2, 3, 4)
     )
     assert VARIANTS[variant].run(params).expected_secret == 5
     assert calls.count("gen_shares") == 1
     assert calls.count("lagrange_term") == 3
-
-
-def test_size_cap_propagates(monkeypatch):
-    monkeypatch.setenv("QUDITSHARE_SIZE_CAP", "16")
-    with pytest.raises(SizeCapExceeded):
-        run_song_original(d4_params())
+    assert calls.count("params_for") == 1
 
 
 # song-original -------------------------------------------------------------------

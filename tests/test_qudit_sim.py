@@ -8,9 +8,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditshare.modmath import MAX_MODULUS
 from quditshare.qudit_sim import (
     DEFAULT_SIZE_CAP,
-    SIZE_CAP_ENV,
     DiagonalGate,
     DimensionMismatch,
     IndexOutOfRange,
@@ -111,26 +111,25 @@ def test_make_ghz_size_cap():
     assert make_ghz(2, 22).amps.size == DEFAULT_SIZE_CAP
 
 
-def test_size_cap_env_override(monkeypatch):
-    monkeypatch.setenv(SIZE_CAP_ENV, "8")
+def test_register_constructor_enforces_size_cap():
     with pytest.raises(SizeCapExceeded):
-        make_ghz(3, 2)
-    make_ghz(2, 3)
-
-
-def test_register_constructor_enforces_size_cap(monkeypatch):
-    monkeypatch.setenv(SIZE_CAP_ENV, "16")
-    with pytest.raises(SizeCapExceeded):
-        QuditRegister(2, 5, np.full(32, 32**-0.5))
+        QuditRegister(2, 23, np.zeros(1))  # refused before amps is read
     QuditRegister(2, 4, np.full(16, 0.25))
 
 
-def test_gates_respect_size_cap(monkeypatch):
-    monkeypatch.setenv(SIZE_CAP_ENV, "16")
+def test_gates_respect_size_cap():
+    # applying a library gate builds no matrix; only its dense .m is capped
     for gate in (lambda d: phase_gate(d, 1), qft_inv, qft):
         with pytest.raises(SizeCapExceeded):
-            gate(5)  # a 5 x 5 matrix holds 25 > 16 amplitudes
-        assert gate(4).d == 4
+            gate(2049).m  # 2049^2 amplitudes > 2^22
+        assert gate(4).m.shape == (4, 4)
+
+
+def test_gates_check_their_dimension():
+    for bad in (lambda: phase_gate(1, 0), lambda: phase_gate(2.5, 1), lambda: qft_inv(1), lambda: qft("x")):
+        with pytest.raises(ValueError, match="local dimension must be an integer >= 2"):
+            bad()
+    assert phase_gate(MAX_MODULUS, 1).d == qft_inv(MAX_MODULUS).d == MAX_MODULUS
 
 
 def test_make_ghz_rejects_bad_args():
