@@ -69,7 +69,6 @@ from .qudit_sim import (
     marginal,
     measure,
     phase_gate,
-    qft,
     qft_inv,
     size_cap,
 )

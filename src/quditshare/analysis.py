@@ -26,7 +26,6 @@ from .qudit_sim import (
     basis_digits,
     basis_label,
     inverse_cdf,
-    marginal,
     qft_inv,
 )
 
@@ -270,13 +269,14 @@ def reproduce_example_d4(
     """Reproduce the d=4, t=3, secret-3 example and report its statistics.
 
     Asserts the encoded and transformed registers against their closed forms
-    (ReproductionError on mismatch), then reports agent 1's exact marginal,
-    the exact success probability, and a seeded Monte-Carlo estimate.
+    (ReproductionError on mismatch), then reports agent 1's exact marginal
+    and success probability, both read from the song-original variant's law,
+    and a seeded Monte-Carlo estimate.
     """
     encoded, transformed = verify_reference_states(s_split)
-    marg = marginal(transformed, 1).probs
-    exact_p = float(marg[REF_SECRET])
     params = ProtocolParams(d=REF_D, t=REF_T, s_vector=tuple(s_split), seed=seed)
+    marg = VARIANTS[SONG_ORIGINAL].distribution(params).probs
+    exact_p = float(marg[REF_SECRET])
     estimate, stderr = success_probability_mc(params, trials, seed)
     verdict = (
         f"outcome uniform over {REF_D} values (exact p = {exact_p:.12g}); "

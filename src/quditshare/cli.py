@@ -77,8 +77,6 @@ def _parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one protocol variant")
     sim.add_argument("--variant", choices=tuple(VARIANTS), default=SONG_ORIGINAL)
     sim.add_argument("--d", type=int, required=True, help="modulus / local dimension")
-    sim.add_argument("--t", type=int, default=None, help="threshold (inferred when omitted)")
-    sim.add_argument("--n", type=int, default=None, help="total agents (default: t or len(xs))")
     sim.add_argument("--s-vector", type=_int_list, default=None, dest="s_vector",
                      help="direct term vector s_1,...,s_t")
     sim.add_argument("--secret-coeffs", type=_int_list, default=None, dest="coeffs",
@@ -137,11 +135,14 @@ def cmd_shares(args: argparse.Namespace) -> int:
 
 
 def _simulate_params(args: argparse.Namespace) -> ProtocolParams:
-    """The flags as ProtocolParams, which checks them; --t defaults to the secret source's length."""
+    """The flags as ProtocolParams, which checks them.
+
+    t is the length of the secret source, --s-vector or --secret-coeffs; n is
+    the length of --xs on the polynomial path and t otherwise.
+    """
     poly = None if args.coeffs is None else SharePolynomial(args.d, args.coeffs)
-    t = len(args.s_vector or args.coeffs or ()) if args.t is None else args.t
-    return ProtocolParams(d=args.d, t=t, n=args.n, polynomial=poly, abscissae=args.xs,
-                          s_vector=args.s_vector, seed=args.seed)
+    return ProtocolParams(d=args.d, t=len(args.s_vector or args.coeffs or ()), polynomial=poly,
+                          abscissae=args.xs, s_vector=args.s_vector, seed=args.seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

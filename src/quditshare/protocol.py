@@ -46,7 +46,7 @@ from .modmath import (
 from .qudit_sim import (
     MarginalDistribution,
     QuditRegister,
-    _check_size,
+    _on_diagonal,
     apply_local,
     inverse_cdf,
     make_ghz,
@@ -244,12 +244,7 @@ def branch_register(params: ProtocolParams) -> QuditRegister:
 
 def post_encoding_state(params: ProtocolParams) -> QuditRegister:
     """The register after all phase encodings, before any measurement: c scattered onto |k...k>."""
-    d, t = params.d, params.t
-    _check_size(d, t)
-    amps = np.zeros(d**t, dtype=np.complex128)
-    # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
-    amps[:: (d**t - 1) // (d - 1)] = branch_register(params).amps
-    return QuditRegister(d, t, amps)
+    return _on_diagonal(params.d, params.t, branch_register(params).amps)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ statistics (marginal, measure, joint_distribution) follow this convention.
 Every seeded draw, measure's included, is inverse_cdf on a one-qudit law.
 
 Gates act on one axis of the (d,)*t amplitude array by their structure: a
-phase gate (DiagonalGate) as a broadcast multiply, the Fourier gates
+phase gate (DiagonalGate) as a broadcast multiply, the inverse Fourier gate
 (FourierGate) as an orthonormal FFT, and a user LocalUnitary by tensordot
 after an O(d^3) unitarity check. Every gate's .m is its dense d x d matrix,
 built on demand for tests and the dense oracle.
 
 Only code that allocates d^t amplitudes checks the size cap (_check_size):
-make_ghz, QuditRegister, protocol.post_encoding_state and every gate's .m.
+_on_diagonal (behind make_ghz and protocol.post_encoding_state),
+QuditRegister and every gate's .m. _on_diagonal is the one place that knows
+where |k...k> sits in the flat register.
 
 Registers and gates are immutable; every operation returns a fresh value, so
 they are safe to share across threads. Phase exponents are reduced mod d before
@@ -173,27 +175,23 @@ class DiagonalGate:
 
 @dataclass(frozen=True)
 class FourierGate:
-    """The Fourier transform on one qudit, applied as an orthonormal FFT along its axis.
+    """The inverse Fourier transform on one qudit, entry (j, k) = w^(-j*k) / sqrt(d).
 
-    The inverse transform, entry (j, k) = w^(-j*k) / sqrt(d), is numpy's
-    forward FFT; the forward transform, its conjugate transpose, is numpy's
-    inverse FFT. Unitary by construction, so it holds no entries to check.
+    Applied as numpy's orthonormal forward FFT along the qudit's axis. Unitary
+    by construction, so it holds no entries to check.
     """
 
     d: int
-    inverse: bool
 
     @property
     def m(self) -> np.ndarray:
         """The dense d x d matrix, from the closed form."""
         _check_size(self.d, 2)
         jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
-        sign = -1 if self.inverse else 1
-        return np.exp(sign * 2j * np.pi * jk / self.d) / np.sqrt(self.d)
+        return np.exp(-2j * np.pi * jk / self.d) / np.sqrt(self.d)
 
     def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
-        fft = np.fft.fft if self.inverse else np.fft.ifft
-        return fft(psi, axis=axis, norm="ortho")
+        return np.fft.fft(psi, axis=axis, norm="ortho")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +220,17 @@ class JointDistribution:
                    "retained probabilities do not sum to 1: |sum - 1|")
 
 
-def make_ghz(d: int, t: int) -> QuditRegister:
-    """Maximally entangled state (1/sqrt d) * sum_k |k k ... k> on t qudits."""
+def _on_diagonal(d: int, t: int, c: complex | np.ndarray) -> QuditRegister:
+    """The register sum_k c_k |k...k> of t qudits; a scalar c is every c_k."""
     _check_size(d, t)
     amps = np.zeros(d**t, dtype=np.complex128)
-    stride = (d**t - 1) // (d - 1)  # index of |k...k> is k * (1 + d + ... + d^(t-1))
-    amps[np.arange(d) * stride] = 1.0 / np.sqrt(d)
+    amps[:: (d**t - 1) // (d - 1)] = c  # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
     return QuditRegister(d, t, amps)
+
+
+def make_ghz(d: int, t: int) -> QuditRegister:
+    """Maximally entangled state (1/sqrt d) * sum_k |k k ... k> on t qudits."""
+    return _on_diagonal(d, t, 1.0 / np.sqrt(_as_int(d, "local dimension", 2)))
 
 
 def phase_gate(d: int, s: int) -> DiagonalGate:
@@ -245,12 +247,7 @@ def qft_inv(d: int) -> FourierGate:
     With this sign convention the state (1/sqrt d) * sum_k w^(S*k) |k> of a
     single qudit maps exactly to |S mod d>.
     """
-    return FourierGate(_as_int(d, "local dimension", 2), inverse=True)
-
-
-def qft(d: int) -> FourierGate:
-    """Forward Fourier transform, the conjugate transpose of qft_inv."""
-    return FourierGate(_as_int(d, "local dimension", 2), inverse=False)
+    return FourierGate(_as_int(d, "local dimension", 2))
 
 
 def apply_local(

@@ -24,6 +24,7 @@ from quditshare.modmath import MAX_MODULUS
 from quditshare.protocol import (
     PRODUCT_COUNTERFACTUAL,
     REPAIRED,
+    SONG_ORIGINAL,
     VARIANTS,
     ProtocolParams,
     post_encoding_state,
@@ -305,6 +306,15 @@ def test_reference_report_values():
     assert report.mc_trials == 400
     assert abs(report.mc_estimate - 0.25) < 4 * max(report.mc_stderr, 1e-3)
     assert "uniform" in report.verdict
+
+
+@pytest.mark.parametrize("split", [(3, 0, 0), (1, 1, 1), (2, 3, 2), (0, 0, 3)])
+def test_reference_report_reads_the_registry_law(split):
+    # the example reports the song-original variant's own law, bit for bit
+    report = reproduce_example_d4(trials=10, s_split=split)
+    law = VARIANTS[SONG_ORIGINAL].distribution(ProtocolParams(d=4, t=3, s_vector=split)).probs
+    assert report.marginal == tuple(float(p) for p in law)
+    assert report.exact_p == float(law[report.secret])
 
 
 def test_reference_report_byte_identical_per_seed():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,10 +144,30 @@ def test_simulate_rejects_neither_secret_source(capsys):
     assert rc == 2
 
 
-def test_simulate_rejects_contradictory_t(capsys):
-    rc, _, err = run_cli(capsys, "simulate", "--d", "4", "--s-vector", "3,0,0", "--t", "2")
+@pytest.mark.parametrize("flag", [("--t", "3"), ("--n", "4")])
+def test_simulate_has_no_t_or_n_flag(capsys, flag):
+    # t is the secret source's length and n that of --xs, so neither is a flag
+    rc, out, err = run_cli(capsys, "simulate", "--d", "4", "--s-vector", "3,0,0", *flag)
     assert rc == 2
-    assert "contradicts" in err
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_simulate_help_lists_no_t_or_n(capsys):
+    rc, out, _ = run_cli(capsys, "simulate", "--help")
+    assert rc == 0
+    assert "--s-vector" in out
+    assert re.search(r"--[tn]\b", out) is None
+
+
+def test_simulate_polynomial_n_from_xs(capsys):
+    # n=4 comes from --xs; the first 3 agents participate, so x=4 changes no byte
+    argv = ["simulate", "--variant", "repaired", "--d", "7", "--secret-coeffs", "5,3,2"]
+    params = cli._simulate_params(cli._parser().parse_args([*argv, "--xs", "1,2,3,4"]))
+    assert (params.t, params.n) == (3, 4)
+    rc, out, _ = run_cli(capsys, *argv, "--xs", "1,2,3,4")
+    assert rc == 0
+    assert out == run_cli(capsys, *argv, "--xs", "1,2,3")[1]
 
 
 def test_simulate_counterfactual_needs_s_vector(capsys):
@@ -301,14 +322,6 @@ MISUSE = {
                          "abscissae (1, 2, 3) belong to a polynomial, not to s_vector (3, 0, 0)"),
     "coeffs-without-xs": (["simulate", "--d", "7", "--secret-coeffs", "5,3,2"],
                           "polynomial (5, 3, 2) needs abscissae"),
-    "t-against-s-vector": (["simulate", "--d", "4", "--s-vector", "3,0,0", "--t", "2"],
-                           "threshold t=2 contradicts the 3-entry s_vector"),
-    "t-against-polynomial": (["simulate", "--d", "7", "--secret-coeffs", "5,3,2",
-                              "--xs", "1,2,3", "--t", "2"],
-                             "threshold t=2 contradicts the 3-coefficient polynomial"),
-    "n-against-abscissae": (["simulate", "--d", "7", "--secret-coeffs", "5,3,2",
-                             "--xs", "1,2,3", "--n", "4"],
-                            "agent count n=4 contradicts the 3 abscissae"),
     "shares-too-few-xs": (["shares", "--d", "7", "--secret-coeffs", "5,3,2", "--xs", "1,2"],
                           "threshold t=3 exceeds agent count n=2"),
     "example-2-entries": (["example", "--trials", "10", "--s-vector", "3,0"],

@@ -22,6 +22,7 @@ CASES = {
     "lagrange-share-value": (lambda: lagrange_term([Share(1, 2.0)], 1, 5), "share value"),
     "lagrange-index": (lambda: lagrange_term(SHARES, 1.0, 5), "participant index"),
     "ghz-d": (lambda: make_ghz(3.0, 2), "local dimension"),
+    "ghz-d-text": (lambda: make_ghz("3", 2), "local dimension"),
     "gate-d": (lambda: LocalUnitary(2.0, np.eye(2)), "local dimension"),
     "apply-qudit": (lambda: apply_local(make_ghz(3, 2), 1.0, phase_gate(3, 1)), "qudit index"),
     "mc-trials": (lambda: success_probability_mc(ProtocolParams(d=5, t=2, s_vector=(1, 2)), 10.0),

@@ -66,7 +66,7 @@ def test_params_require_exactly_one_secret_source():
 def test_params_validate_s_vector():
     with pytest.raises(ValueError):
         ProtocolParams(d=4, t=2, s_vector=(1, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threshold t=2 contradicts the 3-entry s_vector"):
         ProtocolParams(d=4, t=2, s_vector=(1, 2, 3))
     with pytest.raises(ValueError):
         ProtocolParams(d=4, t=1, s_vector=(1.5,))
@@ -77,11 +77,11 @@ def test_params_validate_polynomial_path():
     poly = SharePolynomial(5, (3, 2))
     with pytest.raises(ValueError):
         ProtocolParams(d=7, t=2, polynomial=poly, abscissae=(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threshold t=3 contradicts the 2-coefficient polynomial"):
         ProtocolParams(d=5, t=3, polynomial=poly, abscissae=(1, 2))
     with pytest.raises(DuplicateAbscissa):
         ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="agent count n=5 contradicts the 2 abscissae"):
         ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 2), n=5)
     with pytest.raises(ValueError):
         ProtocolParams(d=5, t=2, polynomial=poly, abscissae=(1, 2.0))

@@ -26,7 +26,6 @@ from quditshare.qudit_sim import (
     marginal,
     measure,
     phase_gate,
-    qft,
     qft_inv,
 )
 
@@ -119,14 +118,14 @@ def test_register_constructor_enforces_size_cap():
 
 def test_gates_respect_size_cap():
     # applying a library gate builds no matrix; only its dense .m is capped
-    for gate in (lambda d: phase_gate(d, 1), qft_inv, qft):
+    for gate in (lambda d: phase_gate(d, 1), qft_inv):
         with pytest.raises(SizeCapExceeded):
             gate(2049).m  # 2049^2 amplitudes > 2^22
         assert gate(4).m.shape == (4, 4)
 
 
 def test_gates_check_their_dimension():
-    for bad in (lambda: phase_gate(1, 0), lambda: phase_gate(2.5, 1), lambda: qft_inv(1), lambda: qft("x")):
+    for bad in (lambda: phase_gate(1, 0), lambda: phase_gate(2.5, 1), lambda: qft_inv(1), lambda: qft_inv("x")):
         with pytest.raises(ValueError, match="local dimension must be an integer >= 2"):
             bad()
     assert phase_gate(MAX_MODULUS, 1).d == qft_inv(MAX_MODULUS).d == MAX_MODULUS
@@ -163,7 +162,12 @@ def test_phase_gate_rejects_out_of_range():
         phase_gate(4, 1.5)
 
 
-# qft_inv / qft ---------------------------------------------------------------
+# qft_inv ----------------------------------------------------------------------
+
+def qft_dense(d):
+    # the forward transform, entry (j, k) = w^(j*k) / sqrt(d): qft_inv's dense adjoint
+    return LocalUnitary(d, qft_inv(d).m.conj().T)
+
 
 def test_qft_inv_d4_expansions():
     # w^(3k) * column k must reproduce the four pinned coefficient rows / 2
@@ -187,22 +191,25 @@ def test_qft_inv_recovers_phase_slope(d):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_qft_unitarity(d):
-    # the FFT's action on each basis state rebuilds the closed-form matrix, which is unitary
-    for gate in (qft_inv(d), qft(d)):
+    # each gate's action on each basis state rebuilds its closed-form matrix, which is unitary;
+    # the FFT is qft_inv's, and the forward transform w^(j*k) / sqrt(d) is its dense adjoint
+    jk = np.outer(np.arange(d), np.arange(d)) % d
+    closed_forward = np.exp(2j * np.pi * jk / d) / np.sqrt(d)
+    for gate, closed in ((qft_inv(d), qft_inv(d).m), (qft_dense(d), closed_forward)):
         m = np.stack([apply_local(basis_state(d, 1, (k,)), 1, gate).amps for k in range(d)], axis=1)
-        np.testing.assert_allclose(m, gate.m, atol=1e-12)
+        np.testing.assert_allclose(m, closed, atol=1e-12)
         np.testing.assert_allclose(m @ m.conj().T, np.eye(d), atol=1e-10)
-    np.testing.assert_allclose(qft(d).m @ qft_inv(d).m, np.eye(d), atol=1e-10)
+    np.testing.assert_allclose(qft_dense(d).m @ qft_inv(d).m, np.eye(d), atol=1e-10)
 
 
 def test_qft_qubit_is_hadamard_on_zero():
-    out = apply_local(basis_state(2, 1, (0,)), 1, qft(2))
+    out = apply_local(basis_state(2, 1, (0,)), 1, qft_dense(2))
     np.testing.assert_allclose(out.amps, np.full(2, 2**-0.5), atol=1e-12)
 
 
 def test_qft_roundtrip_random_vector():
     reg = random_register(4, 1, seed=99)
-    out = apply_local(apply_local(reg, 1, qft_inv(4)), 1, qft(4))
+    out = apply_local(apply_local(reg, 1, qft_inv(4)), 1, qft_dense(4))
     assert out.isclose(reg, tol=1e-10)
 
 
@@ -242,7 +249,7 @@ def test_apply_local_matches_kron_oracle(q):
 def _assert_library_gates_match_dense(d, t, s, seed):
     # each library gate acts by its structure; LocalUnitary(d, gate.m) is the tensordot oracle
     reg = random_register(d, t, seed)
-    for gate in (phase_gate(d, s), qft_inv(d), qft(d)):
+    for gate in (phase_gate(d, s), qft_inv(d)):
         dense = LocalUnitary(d, gate.m)
         for q in range(1, t + 1):
             fast = apply_local(reg, q, gate).amps
