@@ -16,10 +16,13 @@ _on_diagonal (behind make_ghz and protocol.post_encoding_state),
 QuditRegister and every gate's .m. _on_diagonal is the one place that knows
 where |k...k> sits in the flat register.
 
-Registers and gates are immutable; every operation returns a fresh value, so
-they are safe to share across threads. Phase exponents are reduced mod d before
-exponentiation, keeping equal roots of unity bitwise-comparable. Every invariant
-is compared with its bound by _check_tol alone, which NaN and inf fail.
+Registers and gates are immutable, so they are safe to share across threads.
+A register adopts a read-only, C-ordered complex array that views no writable
+array, and copies any other input once. The engine marks each array it has just
+made read-only, so every register it returns is written once. Phase exponents
+are reduced mod d before exponentiation, keeping equal roots of unity
+bitwise-comparable. Every invariant is compared with its bound by _check_tol
+alone, which NaN and inf fail.
 """
 
 from __future__ import annotations
@@ -94,9 +97,30 @@ def basis_label(digits: tuple[int, ...], d: int) -> str:
     return ".".join(str(k) for k in digits)
 
 
+def _adoptable(a: object) -> bool:
+    """True for a read-only, C-ordered complex128 ndarray that views no writable array."""
+    if type(a) is not np.ndarray or a.dtype != np.complex128:
+        return False
+    flags = a.flags
+    if flags.writeable or not flags.c_contiguous:
+        return False
+    base = a.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class QuditRegister:
-    """Normalized pure state of t qudits; amps has length d**t <= size_cap() and unit norm."""
+    """Normalized pure state of t qudits; amps has length d**t <= size_cap() and unit norm.
+
+    amps is kept without a copy when it is a read-only, C-ordered complex128
+    ndarray and no array it views is writable: such an array is taken as
+    handed over. Any other input, a read-only view of a writable base included,
+    is copied once, so no one can write through a register's memory.
+    """
 
     d: int
     t: int
@@ -104,20 +128,15 @@ class QuditRegister:
 
     def __post_init__(self):
         _check_size(self.d, self.t)
-        amps = np.array(self.amps, dtype=np.complex128, order="C").reshape(-1)
+        amps = self.amps
+        if not _adoptable(amps):
+            amps = np.array(amps, dtype=np.complex128, order="C")
+            amps.setflags(write=False)
+        amps = amps.reshape(-1)
         if amps.size != self.d**self.t:
             raise ValueError(f"expected {self.d ** self.t} amplitudes, got {amps.size}")
         _check_tol(abs(np.vdot(amps, amps).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
-        amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    def isclose(self, other: "QuditRegister", tol: float = NORM_TOL) -> bool:
-        """Entrywise amplitude comparison (no global-phase slack)."""
-        return (
-            self.d == other.d
-            and self.t == other.t
-            and bool(np.max(np.abs(self.amps - other.amps)) <= tol)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +244,7 @@ def _on_diagonal(d: int, t: int, c: complex | np.ndarray) -> QuditRegister:
     _check_size(d, t)
     amps = np.zeros(d**t, dtype=np.complex128)
     amps[:: (d**t - 1) // (d - 1)] = c  # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
+    amps.setflags(write=False)
     return QuditRegister(d, t, amps)
 
 
@@ -258,7 +278,8 @@ def apply_local(
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
     q = _check_qudit_index(q, reg.t)
     out = u.act(reg.amps.reshape((reg.d,) * reg.t), q - 1)
-    return QuditRegister(reg.d, reg.t, out)  # QuditRegister copies once, into C order
+    out.setflags(write=False)  # adopted when act made a fresh C-ordered array, copied otherwise
+    return QuditRegister(reg.d, reg.t, out)
 
 
 def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:
@@ -303,10 +324,10 @@ def measure(
     psi = reg.amps.reshape((reg.d,) * reg.t)
     sel: list[object] = [slice(None)] * reg.t
     sel[q - 1] = v
-    proj = np.zeros_like(psi)
-    proj[tuple(sel)] = psi[tuple(sel)]
-    post = QuditRegister(reg.d, reg.t, proj.reshape(-1) / np.sqrt(probs[v]))
-    return v, post
+    post = np.zeros(psi.shape, dtype=np.complex128)
+    post[tuple(sel)] = psi[tuple(sel)] / np.sqrt(probs[v])
+    post.setflags(write=False)
+    return v, QuditRegister(reg.d, reg.t, post)
 
 
 def joint_distribution(reg: QuditRegister) -> JointDistribution:

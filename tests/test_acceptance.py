@@ -36,6 +36,8 @@ from quditshare.qudit_sim import (
     qft_inv,
 )
 
+from register_checks import assert_registers_close
+
 # The four d=4 inverse-transform expansions (branch phase included), times 1/2.
 EXPANSIONS = {
     0: (1, 1, 1, 1),
@@ -267,16 +269,20 @@ def test_criterion_8_property_suites():
             for r, s in enumerate(s_vec, start=1):
                 reg = apply_local(reg, r, phase_gate(d, s))
             acc = apply_local(make_ghz(d, t), 1, phase_gate(d, sum(s_vec) % d))
-            if not reg.isclose(acc, tol=1e-10):
+            try:
+                assert_registers_close(reg, acc, tol=1e-10)
+            except AssertionError:
                 failures.append(f"accumulation d={d},t={t}")
 
     # split invariance of the reference example
     reference = post_encoding_state(_d4_params())
     for s1, s2 in itertools.product(range(4), repeat=2):
         split = (s1, s2, (3 - s1 - s2) % 4)
-        if not post_encoding_state(
-            ProtocolParams(d=4, t=3, s_vector=split)
-        ).isclose(reference, tol=1e-12):
+        try:
+            assert_registers_close(
+                post_encoding_state(ProtocolParams(d=4, t=3, s_vector=split)), reference, tol=1e-12
+            )
+        except AssertionError:
             failures.append(f"split {split}")
 
     # transcript determinism

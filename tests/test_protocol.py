@@ -45,6 +45,7 @@ from quditshare.qudit_sim import (
 )
 
 from exact_oracle import exact_law
+from register_checks import assert_registers_close, traced_peak
 
 
 def d4_params(seed=0):
@@ -482,7 +483,7 @@ def test_draw_uniform_past_one_raises(variant):
 
 def test_post_encoding_all_zero_terms_is_ghz():
     reg = post_encoding_state(ProtocolParams(d=5, t=3, s_vector=(0, 0, 0)))
-    assert reg.isclose(make_ghz(5, 3), tol=1e-14)
+    assert_registers_close(reg, make_ghz(5, 3), tol=1e-14)
 
 
 def test_post_encoding_state_is_the_ghz_and_phase_chain():
@@ -505,7 +506,13 @@ def test_post_encoding_equals_accumulated_phase():
         s_vec = tuple(int(v) for v in rng.integers(0, d, size=t))
         reg = post_encoding_state(ProtocolParams(d=d, t=t, s_vector=s_vec))
         acc = apply_local(make_ghz(d, t), 1, phase_gate(d, sum(s_vec) % d))
-        assert reg.isclose(acc, tol=1e-10)
+        assert_registers_close(reg, acc, tol=1e-10)
+
+
+def test_post_encoding_state_writes_its_register_once():
+    params = ProtocolParams(8, 6, s_vector=(3, 1, 4, 1, 5, 2))
+    peak = traced_peak(post_encoding_state, params)
+    assert peak <= 1.1 * post_encoding_state(params).amps.nbytes
 
 
 # determinism / serialization -----------------------------------------------------------

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from quditshare.modmath import MAX_MODULUS
 from quditshare.qudit_sim import (
     DEFAULT_SIZE_CAP,
+    NORM_TOL,
     DiagonalGate,
     DimensionMismatch,
+    FourierGate,
     IndexOutOfRange,
     LocalUnitary,
     QuditRegister,
@@ -28,6 +30,8 @@ from quditshare.qudit_sim import (
     phase_gate,
     qft_inv,
 )
+
+from register_checks import assert_registers_close, traced_peak
 
 # Reference d=4 example, w = i: branch phases w^(3k) on |kkk>, and the
 # per-branch coefficient rows after the inverse transform on qudit 1.
@@ -210,7 +214,7 @@ def test_qft_qubit_is_hadamard_on_zero():
 def test_qft_roundtrip_random_vector():
     reg = random_register(4, 1, seed=99)
     out = apply_local(apply_local(reg, 1, qft_inv(4)), 1, qft_dense(4))
-    assert out.isclose(reg, tol=1e-10)
+    assert_registers_close(out, reg, tol=1e-10)
 
 
 # apply_local ------------------------------------------------------------------
@@ -391,7 +395,14 @@ def test_measure_largest_draw_stays_on_supported_branch():
     assert np.cumsum(marginal(reg, 1).probs)[-1] < 1.0  # rounding leaves the top below 1
     outcome, post = measure(reg, 1, TopRng())
     assert outcome == 1
-    assert post.isclose(basis_state(3, 1, (1,)))
+    assert_registers_close(post, basis_state(3, 1, (1,)), tol=NORM_TOL)
+
+
+def test_measure_writes_its_register_once():
+    # the post-measurement register is one d^t array, plus the kept slice and marginal's table
+    reg = apply_local(make_ghz(8, 6), 1, qft_inv(8))
+    for q in (1, 3, 6):
+        assert traced_peak(measure, reg, q, np.random.default_rng(q)) <= 2.5 * reg.amps.nbytes, q
 
 
 # joint_distribution ---------------------------------------------------------------
@@ -481,7 +492,7 @@ def test_phase_accumulation_identity():
             for r, s in enumerate(s_vec, start=1):
                 reg = apply_local(reg, r, phase_gate(d, s))
             accumulated = apply_local(make_ghz(d, t), 1, phase_gate(d, sum(s_vec) % d))
-            assert reg.isclose(accumulated, tol=1e-10)
+            assert_registers_close(reg, accumulated, tol=1e-10)
 
 
 def test_first_qudit_marginal_uniform_after_transform():
@@ -495,6 +506,68 @@ def test_first_qudit_marginal_uniform_after_transform():
                 reg = apply_local(reg, 1, qft_inv(d))
                 probs = marginal(reg, 1).probs
                 assert np.max(np.abs(probs - 1.0 / d)) < 1e-10
+
+
+# storage ------------------------------------------------------------------------
+
+def _assert_nobody_writes(amps):
+    """amps and every array it views are read-only."""
+    while isinstance(amps, np.ndarray):
+        assert not amps.flags.writeable
+        amps = amps.base
+
+
+def test_register_copies_a_writable_input():
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    reg = QuditRegister(2, 2, amps)
+    amps[:] = [0.0, 1.0, 0.0, 0.0]
+    assert reg.amps.tolist() == [1, 0, 0, 0]
+    assert not np.shares_memory(reg.amps, amps)
+    _assert_nobody_writes(reg.amps)
+
+
+def test_register_copies_a_read_only_view_of_a_writable_base():
+    base = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    view = base.view()
+    view.setflags(write=False)
+    reg = QuditRegister(2, 2, view)
+    base[:] = [0.0, 1.0, 0.0, 0.0]
+    assert reg.amps.tolist() == [1, 0, 0, 0]
+    assert not np.shares_memory(reg.amps, base)
+
+
+def test_register_adopts_a_read_only_array():
+    amps = np.zeros((2, 2), dtype=np.complex128)
+    amps[0, 0] = 1.0
+    amps.setflags(write=False)
+    reg = QuditRegister(2, 2, amps)
+    assert np.shares_memory(reg.amps, amps)
+    assert reg.amps.shape == (4,)
+    _assert_nobody_writes(reg.amps)
+    # another dtype or a layout other than C order is copied into C order
+    for other in (amps.astype(np.complex64), np.asfortranarray(amps)):
+        other.setflags(write=False)
+        assert not np.shares_memory(QuditRegister(2, 2, other).amps, other)
+
+
+def test_engine_registers_are_read_only():
+    reg = make_ghz(3, 3)
+    _assert_nobody_writes(reg.amps)
+    for gate in (phase_gate(3, 1), qft_inv(3), random_unitary(3, seed=4)):
+        for q in (1, 2, 3):
+            _assert_nobody_writes(apply_local(reg, q, gate).amps)
+    transformed = apply_local(reg, 2, qft_inv(3))
+    for q in (1, 2, 3):
+        _assert_nobody_writes(measure(transformed, q, np.random.default_rng(q))[1].amps)
+
+
+def test_apply_local_adds_no_copy_to_the_gate():
+    reg = apply_local(make_ghz(8, 6), 2, phase_gate(8, 3))
+    psi = reg.amps.reshape((8,) * 6)
+    if FourierGate(8).act(psi, 0).base is not None:
+        pytest.skip("this numpy's FFT returns a view of its output, which a register must copy")
+    bare = traced_peak(FourierGate(8).act, psi, 0)
+    assert traced_peak(apply_local, reg, 1, qft_inv(8)) - bare <= 0.1 * reg.amps.nbytes
 
 
 # value validation ----------------------------------------------------------------
