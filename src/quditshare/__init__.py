@@ -70,7 +70,6 @@ from .qudit_sim import (
     measure,
     phase_gate,
     qft_inv,
-    size_cap,
 )
 
 __version__ = "0.3.0"

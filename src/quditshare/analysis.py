@@ -274,7 +274,7 @@ def reproduce_example_d4(
     and a seeded Monte-Carlo estimate.
     """
     encoded, transformed = verify_reference_states(s_split)
-    params = ProtocolParams(d=REF_D, t=REF_T, s_vector=tuple(s_split), seed=seed)
+    params = ProtocolParams(d=REF_D, t=REF_T, s_vector=tuple(s_split))
     marg = VARIANTS[SONG_ORIGINAL].distribution(params).probs
     exact_p = float(marg[REF_SECRET])
     estimate, stderr = success_probability_mc(params, trials, seed)

@@ -7,8 +7,8 @@ Commands:
   sweep     tabulate exact success probabilities over a (d, t) grid
 
 Exit codes: 0 success (a "no" verdict is still success), 2 invalid usage or
-configuration (including an unwritable --out path and a machine without the
-memory for a register within the size cap), 3 modular division impossible
+configuration (including an unwritable --out path and a machine out of
+memory), 3 modular division impossible
 (non-invertible denominator), 4 reference-reproduction assertion failure.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import ReproductionError, published, reproduce_example_d4
 from .modmath import NotInvertible, SharePolynomial, _as_int, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
-from .qudit_sim import DEFAULT_SIZE_CAP, _check_tol
+from .qudit_sim import _check_tol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,10 +53,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="fmt", choices=("text", "structured"), default="text",
                    help="plain text or a single JSON document (default: text)")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"RNG seed (default: fixed constant {DEFAULT_SEED})")
-    p.add_argument("--random-seed", action="store_true",
-                   help="seed from OS entropy instead of --seed")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -97,6 +93,12 @@ def _parser() -> argparse.ArgumentParser:
                        help=f"largest threshold, at most {SWEEP_T_MAX}")
     sweep.add_argument("--variant", choices=tuple(VARIANTS), default=SONG_ORIGINAL)
     _add_common(sweep)
+
+    for p in (sim, example, sweep):  # the commands that draw; shares draws nothing
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"RNG seed (default: fixed constant {DEFAULT_SEED})")
+        p.add_argument("--random-seed", action="store_true",
+                       help="seed from OS entropy instead of --seed")
 
     return parser
 
@@ -142,11 +144,11 @@ def _simulate_params(args: argparse.Namespace) -> ProtocolParams:
     """
     poly = None if args.coeffs is None else SharePolynomial(args.d, args.coeffs)
     return ProtocolParams(d=args.d, t=len(args.s_vector or args.coeffs or ()), polynomial=poly,
-                          abscissae=args.xs, s_vector=args.s_vector, seed=args.seed)
+                          abscissae=args.xs, s_vector=args.s_vector)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    transcript = VARIANTS[args.variant].run(_simulate_params(args))
+    transcript = VARIANTS[args.variant].run(_simulate_params(args), args.seed)
     verdict = "yes" if transcript.final_outcome == transcript.expected_secret else "no"
     text = transcript.to_text() + f"outcome == secret: {verdict}\n"
     _emit(args, text, {"transcript": transcript.to_dict(), "verdict": verdict})
@@ -170,12 +172,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rng = np.random.default_rng(derived_seed(args.seed, cell))
             cell += 1
             s = tuple(int(v) for v in rng.integers(0, d, size=t))
-            params = ProtocolParams(d=d, t=t, s_vector=s, seed=args.seed)
+            params = ProtocolParams(d=d, t=t, s_vector=s)
             secret = params.expected_secret
             dist = flow.distribution(params).probs
             # A lone measurer on an entangled register sees a uniform outcome;
             # every other flow returns the secret with certainty.
-            if not flow.all_measure and flow.params_for(params).t >= 2:
+            if not flow.all_measure and len(flow.terms(params)) >= 2:
                 expected = np.full(d, 1.0 / d)
             else:
                 expected = np.eye(d)[secret]
@@ -209,7 +211,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
-    if args.random_seed:
+    if getattr(args, "random_seed", False):
         args.seed = secrets.randbits(63)
     try:
         return _COMMANDS[args.command](args)
@@ -223,8 +225,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
-        print(f"error: out of memory; this machine cannot hold a register within the size cap "
-              f"of {DEFAULT_SIZE_CAP} amplitudes", file=sys.stderr)
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -7,13 +7,15 @@ final outcome is the sum of their results mod d.
 
 Every state the flow reaches is sum_k c_k |k...k> with c_k = w^(S*k) / sqrt(d),
 so its laws need only the d branch amplitudes c, never the d^t register:
-branch_register(params) encodes c on one qudit with the library's own GHZ
+branch_register(d, terms) encodes c on one qudit with the library's own GHZ
 and phase gates, so every protocol path runs up to the largest modulus.
+ProtocolParams describes the secret alone; Variant.terms(params) resolves it
+to the phase terms the flow encodes, one per entangled qudit.
 Variant.distribution(params), the final outcome's exact law, is the one law
 the runner and Monte Carlo draw from. When every agent measures, the runner
 then draws measurers 1..t-1 uniformly and the last one completes the sum,
 which is the measurers' joint Born law; it writes its transcript from the
-parameters and the drawn outcomes.
+terms, the seed and the drawn outcomes.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -26,7 +28,7 @@ parameters and the drawn outcomes.
   secret mod d on every run.
 
 The channel is ideal (no loss, no adversary); transfers exist only as
-transcript events. Runs are deterministic given (params, seed).
+transcript events. Variant.run(params, seed) is deterministic given both.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Run configuration: modulus, threshold, agent count, secret source, seed.
+    """The secret's description: modulus, threshold, agent count, secret source.
 
     The secret comes either from a SharePolynomial plus n distinct abscissae
     (the first t agents participate) or directly from the encoded term vector
@@ -173,11 +175,9 @@ class ProtocolParams:
     polynomial: SharePolynomial | None = None
     abscissae: tuple[int, ...] | None = None
     s_vector: tuple[int, ...] | None = None
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         object.__setattr__(self, "d", _check_modulus(self.d))
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
         has_poly = self.polynomial is not None
         if has_poly and self.s_vector is not None:
             raise ValueError(f"give one secret source, not both polynomial "
@@ -229,22 +229,22 @@ class ProtocolParams:
         return sum(self.s_vector) % self.d
 
 
-def branch_register(params: ProtocolParams) -> QuditRegister:
+def branch_register(d: int, terms: tuple[int, ...]) -> QuditRegister:
     """One qudit carrying the branch amplitudes c_k of the encoded state sum_k c_k |k...k>.
 
-    Built like the t-qudit register, from a GHZ state and every agent's phase
-    gate, so the gates' unitarity and the norm are checked. It holds d
+    Built like the t-qudit register, from a GHZ state and one phase gate per
+    term, so the gates' unitarity and the norm are checked. It holds d
     amplitudes, so no d^t size cap applies.
     """
-    reg = make_ghz(params.d, 1)
-    for s_r in params.share_terms():
-        reg = apply_local(reg, 1, phase_gate(params.d, s_r))
+    reg = make_ghz(d, 1)
+    for s_r in terms:
+        reg = apply_local(reg, 1, phase_gate(d, s_r))
     return reg
 
 
 def post_encoding_state(params: ProtocolParams) -> QuditRegister:
     """The register after all phase encodings, before any measurement: c scattered onto |k...k>."""
-    return _on_diagonal(params.d, params.t, branch_register(params).amps)
+    return _on_diagonal(params.d, params.t, branch_register(params.d, params.share_terms()).amps)
 
 
 @dataclass(frozen=True)
@@ -260,12 +260,10 @@ class Variant:
     all_measure: bool
     product: bool = False
 
-    def params_for(self, params: ProtocolParams) -> ProtocolParams:
-        """The register this flow runs on, with its terms derived once as an s_vector."""
+    def terms(self, params: ProtocolParams) -> tuple[int, ...]:
+        """The phase term of each qudit this flow runs on, derived once from the secret."""
         terms = params.share_terms()
-        if self.product:
-            return ProtocolParams(params.d, 1, s_vector=(sum(terms) % params.d,), seed=params.seed)
-        return ProtocolParams(params.d, params.t, params.n, s_vector=terms, seed=params.seed)
+        return (sum(terms) % params.d,) if self.product else terms
 
     def distribution(self, params: ProtocolParams) -> MarginalDistribution:
         """Exact distribution of the final outcome over Z_d, from the branch amplitudes c.
@@ -274,33 +272,34 @@ class Variant:
         lone measurer entangled with t-1 others sees the branches dephased:
         every outcome has probability sum_k |c_k|^2 / d.
         """
-        return self._law(self.params_for(params))
+        return self._law(params.d, self.terms(params))
 
-    def _law(self, params: ProtocolParams) -> MarginalDistribution:
-        """distribution() of parameters that params_for has already resolved."""
-        branch = branch_register(params)
-        if self.all_measure or params.t == 1:
-            return marginal(apply_local(branch, 1, qft_inv(params.d)), 1)
-        return MarginalDistribution(np.full(params.d, np.vdot(branch.amps, branch.amps).real / params.d))
+    def _law(self, d: int, terms: tuple[int, ...]) -> MarginalDistribution:
+        """distribution() of the terms that terms() has already resolved."""
+        branch = branch_register(d, terms)
+        if self.all_measure or len(terms) == 1:
+            return marginal(apply_local(branch, 1, qft_inv(d)), 1)
+        return MarginalDistribution(np.full(d, np.vdot(branch.amps, branch.amps).real / d))
 
-    def run(self, params: ProtocolParams) -> Transcript:
-        """One seeded run; the final outcome is the measured results' sum mod d.
+    def run(self, params: ProtocolParams, seed: int = DEFAULT_SEED) -> Transcript:
+        """One run seeded by seed; the final outcome is the measured results' sum mod d.
 
         The run's first uniform draws the final outcome F from distribution().
         When every agent measures, agents 1..t-1 read independent uniform
         results and agent t reads F minus their sum: the joint Born law of the
         measurers is law[sum m mod d] / d^(t-1), which this samples exactly.
         """
-        flow_params = self.params_for(params)
-        d, t = params.d, flow_params.t
-        rng = np.random.default_rng(params.seed)
-        final = int(inverse_cdf(self._law(flow_params).probs, rng.random()))
+        seed = _as_int(seed, "seed", 0)
+        terms = self.terms(params)
+        d, t = params.d, len(terms)
+        rng = np.random.default_rng(seed)
+        final = int(inverse_cdf(self._law(d, terms).probs, rng.random()))
         outcomes = [final]
         if self.all_measure:
             others = rng.integers(0, d, t - 1).tolist()
             outcomes = others + [(final - sum(others)) % d]
         events: list[ProtocolEvent] = [QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, t + 1)]
-        for r, s_r in enumerate(flow_params.s_vector, start=1):
+        for r, s_r in enumerate(terms, start=1):
             events.append(GateApplied(agent=r, gate=f"U(0,{s_r})", s=s_r))
         for r, m_r in enumerate(outcomes, start=1):
             events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
@@ -310,7 +309,7 @@ class Variant:
             variant=self.name,
             d=d,
             t=t,
-            seed=params.seed,
+            seed=seed,
             events=tuple(events),
             final_outcome=sum(outcomes) % d,
             expected_secret=params.expected_secret,
@@ -327,19 +326,19 @@ VARIANTS: dict[str, Variant] = {
 }
 
 
-def run_song_original(params: ProtocolParams) -> Transcript:
+def run_song_original(params: ProtocolParams, seed: int = DEFAULT_SEED) -> Transcript:
     """Published flow: only agent 1 Fourier-inverts and measures.
 
     The final outcome is agent 1's measurement result; it matches the secret
     with probability exactly 1/d once t >= 2 (the register stays entangled).
     """
-    return VARIANTS[SONG_ORIGINAL].run(params)
+    return VARIANTS[SONG_ORIGINAL].run(params, seed)
 
 
-def run_repaired_all_measure(params: ProtocolParams) -> Transcript:
+def run_repaired_all_measure(params: ProtocolParams, seed: int = DEFAULT_SEED) -> Transcript:
     """Diagnostic variant: every agent Fourier-inverts, measures, announces.
 
     The final outcome is the announced sum mod d, which equals the expected
     secret on every seed.
     """
-    return VARIANTS[REPAIRED].run(params)
+    return VARIANTS[REPAIRED].run(params, seed)

@@ -52,8 +52,8 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _d4_params(seed=0):
-    return ProtocolParams(d=4, t=3, s_vector=(3, 0, 0), seed=seed)
+def _d4_params():
+    return ProtocolParams(d=4, t=3, s_vector=(3, 0, 0))
 
 
 def test_criterion_1_inverse_transform_expansions():
@@ -139,8 +139,8 @@ def test_criterion_4_counterfactual_certainty():
             others = np.delete(np.abs(reg.amps), s_total)
             if others.size and float(np.max(others)) > 1e-10:
                 ok = False
-            params = ProtocolParams(d, 1, s_vector=(s_total,), seed=s_total)
-            if VARIANTS[PRODUCT_COUNTERFACTUAL].run(params).final_outcome != s_total:
+            params = ProtocolParams(d, 1, s_vector=(s_total,))
+            if VARIANTS[PRODUCT_COUNTERFACTUAL].run(params, s_total).final_outcome != s_total:
                 ok = False
     _verdict(
         4,
@@ -287,7 +287,7 @@ def test_criterion_8_property_suites():
 
     # transcript determinism
     for run in (run_song_original, run_repaired_all_measure):
-        if run(_d4_params(seed=444)).to_text() != run(_d4_params(seed=444)).to_text():
+        if run(_d4_params(), 444).to_text() != run(_d4_params(), 444).to_text():
             failures.append(f"determinism {run.__name__}")
 
     _verdict(

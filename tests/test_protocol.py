@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,8 +47,8 @@ from exact_oracle import exact_law
 from register_checks import assert_registers_close, traced_peak
 
 
-def d4_params(seed=0):
-    return ProtocolParams(d=4, t=3, s_vector=(3, 0, 0), seed=seed)
+def d4_params():
+    return ProtocolParams(d=4, t=3, s_vector=(3, 0, 0))
 
 
 # params -----------------------------------------------------------------------
@@ -136,22 +135,22 @@ def test_run_derives_the_share_terms_once(monkeypatch, variant):
     for name in ("gen_shares", "lagrange_term"):
         fn = getattr(protocol, name)
         monkeypatch.setattr(protocol, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-    params_for = Variant.params_for
-    monkeypatch.setattr(Variant, "params_for",
-                        lambda self, params: calls.append("params_for") or params_for(self, params))
+    terms = Variant.terms
+    monkeypatch.setattr(Variant, "terms",
+                        lambda self, params: calls.append("terms") or terms(self, params))
     params = ProtocolParams(
         d=7, t=3, polynomial=SharePolynomial(7, (5, 3, 2)), abscissae=(1, 2, 3, 4)
     )
     assert VARIANTS[variant].run(params).expected_secret == 5
     assert calls.count("gen_shares") == 1
     assert calls.count("lagrange_term") == 3
-    assert calls.count("params_for") == 1
+    assert calls.count("terms") == 1
 
 
 # song-original -------------------------------------------------------------------
 
 def test_song_original_transcript_shape():
-    tr = run_song_original(d4_params(seed=11))
+    tr = run_song_original(d4_params(), 11)
     assert tr.variant == SONG_ORIGINAL
     sends = [e for e in tr.events if isinstance(e, QuditSent)]
     gates = [e for e in tr.events if isinstance(e, GateApplied)]
@@ -172,7 +171,7 @@ def test_song_original_transcript_shape():
 def test_song_original_single_agent_recovers_term():
     for d, s in [(4, 3), (5, 0), (7, 6)]:
         for seed in range(4):
-            tr = run_song_original(ProtocolParams(d=d, t=1, s_vector=(s,), seed=seed))
+            tr = run_song_original(ProtocolParams(d=d, t=1, s_vector=(s,)), seed)
             assert tr.final_outcome == s
             assert tr.events == (
                 GateApplied(agent=1, gate=f"U(0,{s})", s=s),
@@ -182,7 +181,7 @@ def test_song_original_single_agent_recovers_term():
 
 def test_song_original_outcome_varies_with_seed():
     outcomes = {
-        run_song_original(ProtocolParams(d=2, t=2, s_vector=(0, 0), seed=seed)).final_outcome
+        run_song_original(ProtocolParams(d=2, t=2, s_vector=(0, 0)), seed).final_outcome
         for seed in range(40)
     }
     assert outcomes == {0, 1}
@@ -200,8 +199,8 @@ def test_counterfactual_exhaustive():
     flow = VARIANTS[PRODUCT_COUNTERFACTUAL]
     for d in range(2, 13):
         for s_total in range(d):
-            params = ProtocolParams(d, 1, s_vector=(s_total,), seed=d + s_total)
-            assert flow.run(params).final_outcome == s_total
+            params = ProtocolParams(d, 1, s_vector=(s_total,))
+            assert flow.run(params, d + s_total).final_outcome == s_total
 
 
 def test_counterfactual_at_wide_d_builds_no_dense_gate():
@@ -224,7 +223,7 @@ def test_counterfactual_rejects_out_of_range():
 # repaired -----------------------------------------------------------------------
 
 def test_repaired_transcript_shape_and_outcome():
-    tr = run_repaired_all_measure(d4_params(seed=21))
+    tr = run_repaired_all_measure(d4_params(), 21)
     sends = [e for e in tr.events if isinstance(e, QuditSent)]
     gates = [e for e in tr.events if isinstance(e, GateApplied)]
     measures = [e for e in tr.events if isinstance(e, Measured)]
@@ -239,10 +238,10 @@ def test_repaired_transcript_shape_and_outcome():
 
 def test_repaired_always_recovers_secret():
     for seed in range(60):
-        tr = run_repaired_all_measure(d4_params(seed=seed))
+        tr = run_repaired_all_measure(d4_params(), seed)
         assert tr.final_outcome == tr.expected_secret == 3
     for seed in range(20):
-        tr = run_repaired_all_measure(ProtocolParams(d=2, t=2, s_vector=(1, 0), seed=seed))
+        tr = run_repaired_all_measure(ProtocolParams(d=2, t=2, s_vector=(1, 0)), seed)
         assert tr.final_outcome == tr.expected_secret == 1
 
 
@@ -252,7 +251,7 @@ def test_repaired_run_samples_the_joint_law():
     expected = _joint_oracle(params, range(1, 4))
     counts = np.zeros_like(expected)
     for seed in range(runs):
-        tr = run_repaired_all_measure(replace(params, seed=seed))
+        tr = run_repaired_all_measure(params, seed)
         assert tr.final_outcome == tr.expected_secret == 1
         counts[tuple(e.value for e in tr.events if isinstance(e, Announced))] += 1
     support = expected > 1e-12
@@ -261,7 +260,7 @@ def test_repaired_run_samples_the_joint_law():
 
 
 def test_repaired_single_agent():
-    tr = run_repaired_all_measure(ProtocolParams(d=5, t=1, s_vector=(4,), seed=2))
+    tr = run_repaired_all_measure(ProtocolParams(d=5, t=1, s_vector=(4,)), 2)
     assert tr.final_outcome == 4
 
 
@@ -298,6 +297,12 @@ def _all_measure_oracle(params):
     for digits, p in joint_distribution(reg).entries.items():
         probs[sum(digits) % params.d] += p
     return probs
+
+
+def _flow_params(flow, params):
+    """The register a flow runs on: one qudit per phase term that it resolves."""
+    terms = flow.terms(params)
+    return ProtocolParams(params.d, len(terms), s_vector=terms)
 
 
 def _joint_oracle(params, measured):
@@ -341,7 +346,7 @@ def test_registry_distribution_matches_dense_oracle(params):
         probs = flow.distribution(params).probs
         oracle = ORACLES[name](params)
         assert np.max(np.abs(probs - oracle)) <= 1e-12, name
-        flow_params = flow.params_for(params)
+        flow_params = _flow_params(flow, params)
         measured = range(1, flow_params.t + 1 if flow.all_measure else 2)
         if not flow.all_measure:
             # the lone measurer is the library register's marginal
@@ -367,10 +372,10 @@ def test_registry_distribution_matches_exact_oracle(params):
     # the theorem, as an equality in Z[w]: a lone measurer entangled with others
     # reads every outcome with probability exactly 1/d, any other flow reads S
     for name, flow in VARIANTS.items():
-        flow_params = flow.params_for(params)
-        measured = tuple(range(flow_params.t)) if flow.all_measure else (0,)
-        law = exact_law(params.d, flow_params.s_vector, measured)
-        if not flow.all_measure and flow_params.t >= 2:
+        terms = flow.terms(params)
+        measured = tuple(range(len(terms))) if flow.all_measure else (0,)
+        law = exact_law(params.d, terms, measured)
+        if not flow.all_measure and len(terms) >= 2:
             assert law == [Fraction(1, params.d)] * params.d, name
         else:
             assert law == [Fraction(int(f == params.expected_secret)) for f in range(params.d)], name
@@ -434,10 +439,10 @@ LONE_MEASURERS = [name for name, flow in VARIANTS.items() if not flow.all_measur
 def test_lone_draw_matches_measure(params, seed, variant):
     # pins song-original and product-counterfactual transcripts to measure's sampling
     flow = VARIANTS[variant]
-    reg = apply_local(post_encoding_state(flow.params_for(params)), 1, qft_inv(params.d))
+    reg = apply_local(post_encoding_state(_flow_params(flow, params)), 1, qft_inv(params.d))
     outcome = measure(reg, 1, np.random.default_rng(seed))[0]
     assert inverse_cdf(flow.distribution(params).probs, np.random.default_rng(seed).random()) == outcome
-    assert flow.run(replace(params, seed=seed)).final_outcome == outcome
+    assert flow.run(params, seed).final_outcome == outcome
 
 
 class ConstantRng:
@@ -519,14 +524,14 @@ def test_post_encoding_state_writes_its_register_once():
 
 @pytest.mark.parametrize("run", [run_song_original, run_repaired_all_measure])
 def test_transcript_determinism(run):
-    a = run(d4_params(seed=77))
-    b = run(d4_params(seed=77))
+    a = run(d4_params(), 77)
+    b = run(d4_params(), 77)
     assert a.to_text() == b.to_text()
     assert a.to_dict() == b.to_dict()
 
 
 def test_transcript_serialization_round_trip():
-    tr = run_repaired_all_measure(d4_params(seed=13))
+    tr = run_repaired_all_measure(d4_params(), 13)
     doc = tr.to_dict()
     assert json.loads(json.dumps(doc)) == doc
     text = tr.to_text()
