@@ -37,11 +37,7 @@ from .protocol import (
     REPAIRED,
     SONG_ORIGINAL,
     VARIANTS,
-    Announced,
-    GateApplied,
-    Measured,
     ProtocolParams,
-    QuditSent,
     Transcript,
     Variant,
     derived_seed,

@@ -164,22 +164,6 @@ def success_probability_mc(
     return estimate, stderr
 
 
-def _reference_post_encoding_amps() -> np.ndarray:
-    amps = np.zeros(REF_D**REF_T, dtype=np.complex128)
-    stride = (REF_D**REF_T - 1) // (REF_D - 1)
-    for k in range(REF_D):
-        amps[k * stride] = _REF_BRANCH_PHASES[k] / 2.0
-    return amps
-
-
-def _reference_transformed_amps() -> np.ndarray:
-    amps = np.zeros(REF_D**REF_T, dtype=np.complex128)
-    for k in range(REF_D):
-        for j in range(REF_D):
-            amps[j * REF_D**2 + k * REF_D + k] = _REF_TRANSFORMED_COLUMNS[k][j] / 4.0
-    return amps
-
-
 def verify_reference_states(
     s_split: tuple[int, int, int] = (3, 0, 0),
 ) -> tuple[QuditRegister, QuditRegister]:
@@ -193,11 +177,18 @@ def verify_reference_states(
     params = ProtocolParams(d=REF_D, t=REF_T, s_vector=tuple(s_split))
     if params.expected_secret != REF_SECRET:
         raise ValueError(f"split {s_split} does not sum to {REF_SECRET} mod {REF_D}")
+    k = np.arange(REF_D)
     encoded = post_encoding_state(params)
-    _check_tol(np.max(np.abs(encoded.amps - _reference_post_encoding_amps())), REF_TOL,
+    closed = np.zeros((REF_D,) * REF_T, dtype=np.complex128)
+    # scalar division, exact here, keeps a non-finite constant's value; numpy's
+    # complex division would turn a real inf into inf+nan*j
+    closed[k, k, k] = [phase / 2 for phase in _REF_BRANCH_PHASES]
+    _check_tol(np.max(np.abs(encoded.amps.reshape(closed.shape) - closed)), REF_TOL,
                "encoded state deviates from its closed form: max|error|", ReproductionError)
     transformed = apply_local(encoded, 1, qft_inv(REF_D))
-    _check_tol(np.max(np.abs(transformed.amps - _reference_transformed_amps())), REF_TOL,
+    closed = np.zeros((REF_D,) * REF_T, dtype=np.complex128)
+    closed[:, k, k] = np.transpose([[a / 4 for a in column] for column in _REF_TRANSFORMED_COLUMNS])
+    _check_tol(np.max(np.abs(transformed.amps.reshape(closed.shape) - closed)), REF_TOL,
                "transformed state deviates from its closed form: max|error|", ReproductionError)
     return encoded, transformed
 

@@ -4,7 +4,7 @@ Commands:
   shares    derive shares and interpolation terms from polynomial coefficients
   simulate  run one protocol variant and print its transcript plus a verdict
   example   reproduce the built-in d=4 reference example and report statistics
-  sweep     tabulate exact success probabilities over a (d, t) grid
+  sweep     tabulate exact success probabilities over d = 2..8, t = 1..4
 
 Exit codes: 0 success (a "no" verdict is still success), 2 invalid usage or
 configuration (including an unwritable --out path and a machine out of
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ReproductionError, published, reproduce_example_d4
-from .modmath import NotInvertible, SharePolynomial, _as_int, gen_shares
+from .modmath import NotInvertible, SharePolynomial, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
 from .qudit_sim import _check_tol
 
@@ -36,10 +36,6 @@ EXIT_REPRODUCTION = 4
 SWEEP_D_MAX = 8
 SWEEP_T_MAX = 4
 SWEEP_TOL = 1e-10
-
-
-class ConfigError(ValueError):
-    """An --out path that cannot be written."""
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -86,11 +82,8 @@ def _parser() -> argparse.ArgumentParser:
                          help="phase split s_1,s_2,s_3 summing to 3 mod 4 (default 3,0,0)")
     _add_common(example)
 
-    sweep = sub.add_parser("sweep", help="exact success probabilities over a (d, t) grid")
-    sweep.add_argument("--d-max", type=int, default=SWEEP_D_MAX, dest="d_max",
-                       help=f"largest modulus, at most {SWEEP_D_MAX}")
-    sweep.add_argument("--t-max", type=int, default=SWEEP_T_MAX, dest="t_max",
-                       help=f"largest threshold, at most {SWEEP_T_MAX}")
+    sweep = sub.add_parser(
+        "sweep", help=f"exact success probabilities over d = 2..{SWEEP_D_MAX}, t = 1..{SWEEP_T_MAX}")
     sweep.add_argument("--variant", choices=tuple(VARIANTS), default=SONG_ORIGINAL)
     _add_common(sweep)
 
@@ -111,7 +104,7 @@ def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
     try:
         Path(args.out).write_text(payload, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def cmd_shares(args: argparse.Namespace) -> int:
@@ -162,13 +155,11 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    d_max = _as_int(args.d_max, "--d-max", 2, SWEEP_D_MAX + 1)
-    t_max = _as_int(args.t_max, "--t-max", 1, SWEEP_T_MAX + 1)
     flow = VARIANTS[args.variant]
     entries = []
     cell = 0
-    for d in range(2, d_max + 1):
-        for t in range(1, t_max + 1):
+    for d in range(2, SWEEP_D_MAX + 1):
+        for t in range(1, SWEEP_T_MAX + 1):
             rng = np.random.default_rng(derived_seed(args.seed, cell))
             cell += 1
             s = tuple(int(v) for v in rng.integers(0, d, size=t))
@@ -221,7 +212,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproductionError as exc:
         print(f"error: reference reproduction failed: {exc}", file=sys.stderr)
         return EXIT_REPRODUCTION
-    except ValueError as exc:  # ConfigError and every other input check
+    except ValueError as exc:  # an unwritable --out path and every other input check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:

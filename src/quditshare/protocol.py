@@ -14,8 +14,8 @@ to the phase terms the flow encodes, one per entangled qudit.
 Variant.distribution(params), the final outcome's exact law, is the one law
 the runner and Monte Carlo draw from. When every agent measures, the runner
 then draws measurers 1..t-1 uniformly and the last one completes the sum,
-which is the measurers' joint Born law; it writes its transcript from the
-terms, the seed and the drawn outcomes.
+which is the measurers' joint Born law. Its Transcript holds the terms, the
+seed and the drawn outcomes, and renders every event from them.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -28,11 +28,13 @@ terms, the seed and the drawn outcomes.
   secret mod d on every run.
 
 The channel is ideal (no loss, no adversary); transfers exist only as
-transcript events. Variant.run(params, seed) is deterministic given both.
+rendered transcript lines. Variant.run(params, seed) is deterministic given
+both.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +63,6 @@ SONG_ORIGINAL = "song-original"
 PRODUCT_COUNTERFACTUAL = "product-counterfactual"
 REPAIRED = "repaired"
 
-FOURIER_BASIS = "fourier"
-
 # Fixed default so published transcripts reproduce bit-for-bit.
 DEFAULT_SEED = 12345
 
@@ -73,77 +73,51 @@ def derived_seed(seed: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class QuditSent:
-    sender: int
-    recipient: int
-    qudit: int
-
-    def describe(self) -> str:
-        return f"send: qudit {self.qudit} from agent {self.sender} to agent {self.recipient}"
-
-    def to_dict(self) -> dict:
-        return {"type": "qudit_sent", "from": self.sender, "to": self.recipient, "qudit": self.qudit}
-
-
-@dataclass(frozen=True)
-class GateApplied:
-    agent: int
-    gate: str
-    s: int
-
-    def describe(self) -> str:
-        return f"gate: agent {self.agent} applies {self.gate} on qudit {self.agent}"
-
-    def to_dict(self) -> dict:
-        return {"type": "gate_applied", "agent": self.agent, "gate": self.gate, "s": self.s}
-
-
-@dataclass(frozen=True)
-class Measured:
-    agent: int
-    basis: str
-    outcome: int
-
-    def describe(self) -> str:
-        return f"measure: agent {self.agent} measures qudit {self.agent} in {self.basis} basis -> {self.outcome}"
-
-    def to_dict(self) -> dict:
-        return {"type": "measured", "agent": self.agent, "basis": self.basis, "outcome": self.outcome}
-
-
-@dataclass(frozen=True)
-class Announced:
-    agent: int
-    value: int
-
-    def describe(self) -> str:
-        return f"announce: agent {self.agent} broadcasts {self.value}"
-
-    def to_dict(self) -> dict:
-        return {"type": "announced", "agent": self.agent, "value": self.value}
-
-
-ProtocolEvent = QuditSent | GateApplied | Measured | Announced
-
-
-@dataclass(frozen=True)
 class Transcript:
-    """Ordered event log of one protocol run plus its outcome."""
+    """One protocol run: the terms it encoded and the results its measurers read.
+
+    Its events are rendered from these, not stored: agent 1 sends qudit r to
+    agent r, agent r applies U(0,s_r), measurer r reads m_r in the Fourier
+    basis and, when the variant's flow announces, broadcasts it.
+    """
 
     variant: str
     d: int
-    t: int
     seed: int
-    events: tuple[ProtocolEvent, ...]
-    final_outcome: int
+    terms: tuple[int, ...]
+    outcomes: tuple[int, ...]
     expected_secret: int
 
+    @property
+    def t(self) -> int:
+        return len(self.terms)
+
+    @property
+    def final_outcome(self) -> int:
+        return sum(self.outcomes) % self.d
+
+    def _events(self) -> Iterator[tuple[str, dict]]:
+        """Each event as its text line beside its record, in run order."""
+        for r in range(2, self.t + 1):
+            yield (f"send: qudit {r} from agent 1 to agent {r}",
+                   {"type": "qudit_sent", "from": 1, "to": r, "qudit": r})
+        for r, s_r in enumerate(self.terms, start=1):
+            yield (f"gate: agent {r} applies U(0,{s_r}) on qudit {r}",
+                   {"type": "gate_applied", "agent": r, "gate": f"U(0,{s_r})", "s": s_r})
+        announces = VARIANTS[self.variant].all_measure
+        for r, m_r in enumerate(self.outcomes, start=1):
+            yield (f"measure: agent {r} measures qudit {r} in fourier basis -> {m_r}",
+                   {"type": "measured", "agent": r, "basis": "fourier", "outcome": m_r})
+            if announces:
+                yield f"announce: agent {r} broadcasts {m_r}", {"type": "announced", "agent": r, "value": m_r}
+
     def to_lines(self) -> list[str]:
-        lines = [f"variant: {self.variant} d={self.d} t={self.t} seed={self.seed}"]
-        lines.extend(ev.describe() for ev in self.events)
-        lines.append(f"final outcome: {self.final_outcome}")
-        lines.append(f"expected secret: {self.expected_secret}")
-        return lines
+        return [
+            f"variant: {self.variant} d={self.d} t={self.t} seed={self.seed}",
+            *(line for line, _ in self._events()),
+            f"final outcome: {self.final_outcome}",
+            f"expected secret: {self.expected_secret}",
+        ]
 
     def to_text(self) -> str:
         return "\n".join(self.to_lines()) + "\n"
@@ -154,7 +128,7 @@ class Transcript:
             "d": self.d,
             "t": self.t,
             "seed": self.seed,
-            "events": [ev.to_dict() for ev in self.events],
+            "events": [record for _, record in self._events()],
             "final_outcome": self.final_outcome,
             "expected_secret": self.expected_secret,
         }
@@ -291,29 +265,14 @@ class Variant:
         """
         seed = _as_int(seed, "seed", 0)
         terms = self.terms(params)
-        d, t = params.d, len(terms)
+        d = params.d
         rng = np.random.default_rng(seed)
         final = int(inverse_cdf(self._law(d, terms).probs, rng.random()))
-        outcomes = [final]
+        outcomes = (final,)
         if self.all_measure:
-            others = rng.integers(0, d, t - 1).tolist()
-            outcomes = others + [(final - sum(others)) % d]
-        events: list[ProtocolEvent] = [QuditSent(sender=1, recipient=r, qudit=r) for r in range(2, t + 1)]
-        for r, s_r in enumerate(terms, start=1):
-            events.append(GateApplied(agent=r, gate=f"U(0,{s_r})", s=s_r))
-        for r, m_r in enumerate(outcomes, start=1):
-            events.append(Measured(agent=r, basis=FOURIER_BASIS, outcome=m_r))
-            if self.all_measure:
-                events.append(Announced(agent=r, value=m_r))
-        return Transcript(
-            variant=self.name,
-            d=d,
-            t=t,
-            seed=seed,
-            events=tuple(events),
-            final_outcome=sum(outcomes) % d,
-            expected_secret=params.expected_secret,
-        )
+            others = rng.integers(0, d, len(terms) - 1).tolist()
+            outcomes = (*others, (final - sum(others)) % d)
+        return Transcript(self.name, d, seed, terms, outcomes, params.expected_secret)
 
 
 VARIANTS: dict[str, Variant] = {

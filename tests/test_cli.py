@@ -270,11 +270,10 @@ def test_example_reproduction_failure_exit_4(capsys, monkeypatch):
 # sweep -------------------------------------------------------------------------
 
 def test_sweep_song_original(capsys):
-    rc, out, _ = run_cli(capsys, "sweep", "--d-max", "5", "--t-max", "3",
-                         "--format", "structured")
+    rc, out, _ = run_cli(capsys, "sweep", "--format", "structured")
     assert rc == 0
     doc = json.loads(out)
-    assert len(doc["entries"]) == 4 * 3
+    assert len(doc["entries"]) == 7 * 4
     for e in doc["entries"]:
         expected = 1.0 if e["t"] == 1 else 1.0 / e["d"]
         assert e["p"] == pytest.approx(expected, abs=1e-10)
@@ -282,8 +281,7 @@ def test_sweep_song_original(capsys):
 
 
 def test_sweep_repaired_all_ones(capsys):
-    rc, out, _ = run_cli(capsys, "sweep", "--d-max", "4", "--t-max", "3",
-                         "--variant", "repaired", "--format", "structured")
+    rc, out, _ = run_cli(capsys, "sweep", "--variant", "repaired", "--format", "structured")
     assert rc == 0
     doc = json.loads(out)
     assert all(e["p"] == pytest.approx(1.0, abs=1e-10) for e in doc["entries"])
@@ -291,23 +289,16 @@ def test_sweep_repaired_all_ones(capsys):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_sweep_every_variant(capsys, variant):
-    rc, out, _ = run_cli(capsys, "sweep", "--d-max", "3", "--t-max", "2", "--variant", variant)
+    rc, out, _ = run_cli(capsys, "sweep", "--variant", variant)
     assert rc == 0
     assert out.rstrip().endswith("all entries match expected: yes")
 
 
 def test_sweep_text_table(capsys):
-    rc, out, _ = run_cli(capsys, "sweep", "--d-max", "3", "--t-max", "2")
+    rc, out, _ = run_cli(capsys, "sweep")
     assert rc == 0
     assert out.rstrip().endswith("all entries match expected: yes")
     assert " 2  1  1" in out
-
-
-def test_sweep_range_limits_exit_2(capsys):
-    for argv in (["--d-max", "9"], ["--t-max", "5"], ["--d-max", "1"]):
-        rc, _, err = run_cli(capsys, "sweep", *argv)
-        assert rc == 2
-        assert "error:" in err
 
 
 MISUSE = {
@@ -362,6 +353,15 @@ def test_shares_takes_no_seed_exit_2(capsys):
     for flag in (["--seed", "1"], ["--random-seed"]):
         rc, out, err = run_cli(capsys, "shares", "--d", "5", "--secret-coeffs", "3,2", "--xs", "1,2",
                                *flag)
+        assert rc == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+def test_sweep_takes_no_grid_flags_exit_2(capsys):
+    # the sweep grid is fixed, so a sub-grid cannot re-number the published cells
+    for flag in (["--d-max", "4"], ["--t-max", "3"]):
+        rc, out, err = run_cli(capsys, "sweep", *flag)
         assert rc == 2
         assert out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err

@@ -17,11 +17,7 @@ from quditshare.protocol import (
     REPAIRED,
     SONG_ORIGINAL,
     VARIANTS,
-    Announced,
-    GateApplied,
-    Measured,
     ProtocolParams,
-    QuditSent,
     Variant,
     derived_seed,
     post_encoding_state,
@@ -152,18 +148,16 @@ def test_run_derives_the_share_terms_once(monkeypatch, variant):
 def test_song_original_transcript_shape():
     tr = run_song_original(d4_params(), 11)
     assert tr.variant == SONG_ORIGINAL
-    sends = [e for e in tr.events if isinstance(e, QuditSent)]
-    gates = [e for e in tr.events if isinstance(e, GateApplied)]
-    measures = [e for e in tr.events if isinstance(e, Measured)]
-    announces = [e for e in tr.events if isinstance(e, Announced)]
-    assert len(sends) == 2
-    assert [(e.sender, e.recipient) for e in sends] == [(1, 2), (1, 3)]
-    assert len(gates) == 3
-    assert [e.s for e in gates] == [3, 0, 0]
-    assert len(measures) == 1 and measures[0].agent == 1
-    assert measures[0].basis == "fourier"
-    assert announces == []
-    assert tr.final_outcome == measures[0].outcome
+    # two sends, three gates, agent 1's lone measurement and no announcement
+    assert tr.to_dict()["events"] == [
+        {"type": "qudit_sent", "from": 1, "to": 2, "qudit": 2},
+        {"type": "qudit_sent", "from": 1, "to": 3, "qudit": 3},
+        {"type": "gate_applied", "agent": 1, "gate": "U(0,3)", "s": 3},
+        {"type": "gate_applied", "agent": 2, "gate": "U(0,0)", "s": 0},
+        {"type": "gate_applied", "agent": 3, "gate": "U(0,0)", "s": 0},
+        {"type": "measured", "agent": 1, "basis": "fourier", "outcome": tr.outcomes[0]},
+    ]
+    assert tr.final_outcome == tr.outcomes[0]
     assert tr.expected_secret == 3
     assert 0 <= tr.final_outcome < 4
 
@@ -173,10 +167,10 @@ def test_song_original_single_agent_recovers_term():
         for seed in range(4):
             tr = run_song_original(ProtocolParams(d=d, t=1, s_vector=(s,)), seed)
             assert tr.final_outcome == s
-            assert tr.events == (
-                GateApplied(agent=1, gate=f"U(0,{s})", s=s),
-                Measured(agent=1, basis="fourier", outcome=s),
-            )
+            assert tr.to_dict()["events"] == [
+                {"type": "gate_applied", "agent": 1, "gate": f"U(0,{s})", "s": s},
+                {"type": "measured", "agent": 1, "basis": "fourier", "outcome": s},
+            ]
 
 
 def test_song_original_outcome_varies_with_seed():
@@ -224,16 +218,15 @@ def test_counterfactual_rejects_out_of_range():
 
 def test_repaired_transcript_shape_and_outcome():
     tr = run_repaired_all_measure(d4_params(), 21)
-    sends = [e for e in tr.events if isinstance(e, QuditSent)]
-    gates = [e for e in tr.events if isinstance(e, GateApplied)]
-    measures = [e for e in tr.events if isinstance(e, Measured)]
-    announces = [e for e in tr.events if isinstance(e, Announced)]
+    events = tr.to_dict()["events"]
     assert tr.variant == REPAIRED
-    assert len(sends) == 2 and len(gates) == 3 and len(measures) == 3
-    assert len(announces) == 3
-    assert sum(1 for e in announces if e.agent != 1) == 2  # usable by agent 1
-    assert [e.value for e in announces] == [e.outcome for e in measures]
-    assert tr.final_outcome == sum(e.value for e in announces) % 4
+    kinds = ["qudit_sent"] * 2 + ["gate_applied"] * 3 + ["measured", "announced"] * 3
+    assert [e["type"] for e in events] == kinds
+    measures = [e for e in events if e["type"] == "measured"]
+    announces = [e for e in events if e["type"] == "announced"]
+    assert sum(1 for e in announces if e["agent"] != 1) == 2  # usable by agent 1
+    assert [e["value"] for e in announces] == [e["outcome"] for e in measures] == list(tr.outcomes)
+    assert tr.final_outcome == sum(e["value"] for e in announces) % 4
 
 
 def test_repaired_always_recovers_secret():
@@ -253,7 +246,7 @@ def test_repaired_run_samples_the_joint_law():
     for seed in range(runs):
         tr = run_repaired_all_measure(params, seed)
         assert tr.final_outcome == tr.expected_secret == 1
-        counts[tuple(e.value for e in tr.events if isinstance(e, Announced))] += 1
+        counts[tr.outcomes] += 1
     support = expected > 1e-12
     assert counts[~support].sum() == 0
     assert scipy.stats.chisquare(counts[support], expected[support] * runs).pvalue > 1e-3
@@ -538,6 +531,27 @@ def test_transcript_serialization_round_trip():
     assert text.endswith(f"expected secret: {tr.expected_secret}\n")
     assert f"final outcome: {tr.final_outcome}" in text
     assert text.count("announce:") == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=s_vector_params(), seed=st.integers(0, 2**32), variant=st.sampled_from(list(VARIANTS)))
+def test_transcript_renders_its_terms_and_outcomes(params, seed, variant):
+    flow = VARIANTS[variant]
+    tr = flow.run(params, seed)
+    t, events = tr.t, tr.to_dict()["events"]
+    assert tr.terms == flow.terms(params)
+    assert len(tr.outcomes) == (t if flow.all_measure else 1)
+    # every event line pairs with its record, in order and of the same kind
+    kinds = {"send": "qudit_sent", "gate": "gate_applied", "measure": "measured", "announce": "announced"}
+    assert [kinds[line.split(":")[0]] for line in tr.to_lines()[1:-2]] == [e["type"] for e in events]
+    by_kind = {kind: [e for e in events if e["type"] == kind] for kind in kinds.values()}
+    sends = [(e["from"], e["to"], e["qudit"]) for e in by_kind["qudit_sent"]]
+    assert sends == [(1, r, r) for r in range(2, t + 1)]
+    assert [(e["agent"], e["s"]) for e in by_kind["gate_applied"]] == list(enumerate(tr.terms, start=1))
+    assert [(e["agent"], e["outcome"]) for e in by_kind["measured"]] == list(enumerate(tr.outcomes, start=1))
+    announced = [(e["agent"], e["value"]) for e in by_kind["announced"]]
+    assert announced == (list(enumerate(tr.outcomes, start=1)) if flow.all_measure else [])
+    assert tr.final_outcome == sum(tr.outcomes) % params.d
 
 
 def test_derived_seed_is_stable_and_order_independent():

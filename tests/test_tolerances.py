@@ -80,18 +80,13 @@ def test_marginal_range_keeps_its_rounded_upper_bound():
 @pytest.mark.parametrize("bad", list(BAD))
 @pytest.mark.parametrize("which", ["encoded", "transformed"])
 def test_reference_check_refuses_a_non_finite_closed_form(monkeypatch, capsys, which, bad):
-    closed_form = {
-        "encoded": "_reference_post_encoding_amps",
-        "transformed": "_reference_transformed_amps",
-    }[which]
-    original = getattr(analysis, closed_form)
-
-    def corrupted():
-        amps = original()
-        amps[0] = BAD[bad]
-        return amps
-
-    monkeypatch.setattr(analysis, closed_form, corrupted)
+    # corrupts the closed form's |000> entry: branch 0's phase, or column 0's j = 0 amplitude
+    if which == "encoded":
+        monkeypatch.setattr(analysis, "_REF_BRANCH_PHASES", (BAD[bad], *analysis._REF_BRANCH_PHASES[1:]))
+    else:
+        columns = analysis._REF_TRANSFORMED_COLUMNS
+        monkeypatch.setattr(analysis, "_REF_TRANSFORMED_COLUMNS",
+                            ((BAD[bad], *columns[0][1:]), *columns[1:]))
     with pytest.raises(ReproductionError, match=f"^{which} state deviates .* is {bad}, "):
         verify_reference_states()
     assert cli.main(["example", "--trials", "10"]) == cli.EXIT_REPRODUCTION
@@ -106,8 +101,8 @@ def test_sweep_check_refuses_a_non_finite_distribution(monkeypatch, capsys, bad)
         return SimpleNamespace(probs=probs)
 
     monkeypatch.setattr(Variant, "distribution", corrupted)
-    args = cli._parser().parse_args(["sweep", "--d-max", "2", "--t-max", "1"])
+    args = cli._parser().parse_args(["sweep"])
     with pytest.raises(ReproductionError, match=f"deviates from expected: max\\|error\\| is {bad}, "):
         cli.cmd_sweep(args)
-    assert cli.main(["sweep", "--d-max", "2", "--t-max", "1"]) == cli.EXIT_REPRODUCTION
+    assert cli.main(["sweep"]) == cli.EXIT_REPRODUCTION
     assert capsys.readouterr().out == ""
