@@ -31,11 +31,13 @@ from .qudit_sim import (
 
 MC_CHUNK = 1 << 16  # Monte-Carlo trials drawn at once; bounds memory for any trial count
 
-# Built-in reference example: d=4, t=3, secret 3, w = exp(2*pi*i/4) = i.
+# Built-in reference example: d=4, t=3, secret 3, w = exp(2*pi*i/4) = i. Every split
+# of the phase 3 mod 4 encodes the same state, so REF_PARAMS, built once, stands for all.
 # Encoded register: (1/2) * sum_k w^(3k) |kkk>, branch phases w^(3k) below.
 REF_D = 4
 REF_T = 3
 REF_SECRET = 3
+REF_PARAMS = ProtocolParams(d=REF_D, t=REF_T, s_vector=(3, 0, 0))
 REF_TOL = 1e-12
 _REF_BRANCH_PHASES = (1, -1j, -1, 1j)
 # After the inverse Fourier transform on qudit 1, branch k carries amplitude
@@ -78,10 +80,10 @@ class AmplitudeTable:
     def __post_init__(self):
         _check_tol(abs(self.norm_check - 1.0), RETAINED_TOL, "listed |amps|^2 do not sum to 1: |norm_check - 1|")
 
-    def to_text_rows(self, indent: str = "  ") -> list[str]:
+    def to_text_rows(self) -> list[str]:
         width = max(len(label) for label, _, _ in self.rows)
         return [
-            f"{indent}{label:<{width}}  {_fmt_complex(re, im)}"
+            f"  {label:<{width}}  {_fmt_complex(re, im)}"
             for label, re, im in self.rows
         ]
 
@@ -164,21 +166,14 @@ def success_probability_mc(
     return estimate, stderr
 
 
-def verify_reference_states(
-    s_split: tuple[int, int, int] = (3, 0, 0),
-) -> tuple[QuditRegister, QuditRegister]:
-    """Build the reference example's states and check them against closed forms.
+def verify_reference_states() -> tuple[QuditRegister, QuditRegister]:
+    """Build REF_PARAMS's encoded and transformed states and check them against closed forms.
 
-    s_split is the per-agent split of the accumulated phase; any split summing
-    to 3 mod 4 produces the same register. Raises ReproductionError if either
-    the encoded state (4 amplitudes) or the transformed state (16 amplitudes)
-    deviates beyond REF_TOL.
+    Raises ReproductionError if either the encoded state (4 amplitudes) or
+    the transformed state (16 amplitudes) deviates beyond REF_TOL.
     """
-    params = ProtocolParams(d=REF_D, t=REF_T, s_vector=tuple(s_split))
-    if params.expected_secret != REF_SECRET:
-        raise ValueError(f"split {s_split} does not sum to {REF_SECRET} mod {REF_D}")
     k = np.arange(REF_D)
-    encoded = post_encoding_state(params)
+    encoded = post_encoding_state(REF_PARAMS)
     closed = np.zeros((REF_D,) * REF_T, dtype=np.complex128)
     # scalar division, exact here, keeps a non-finite constant's value; numpy's
     # complex division would turn a real inf into inf+nan*j
@@ -195,30 +190,32 @@ def verify_reference_states(
 
 @dataclass(frozen=True)
 class ExampleReport:
-    """Everything the reference example produces, reproducible byte-for-byte."""
+    """What one run of the reference example computed, reproducible byte-for-byte.
 
-    d: int
-    t: int
-    secret: int
-    s_split: tuple[int, ...]
+    Its inputs are the REF_* constants and REF_PARAMS, which it renders from;
+    exact_p and verdict are read from the marginal.
+    """
+
     encoded_table: AmplitudeTable
     transformed_table: AmplitudeTable
     marginal: tuple[float, ...]
-    exact_p: float
     mc_trials: int
     mc_seed: int
     mc_estimate: float
     mc_stderr: float
-    verdict: str
+
+    @property
+    def exact_p(self) -> float:
+        return self.marginal[REF_SECRET]
+
+    @property
+    def verdict(self) -> str:
+        return (f"outcome uniform over {REF_D} values (exact p = {self.exact_p:.12g}); "
+                "the lone measuring agent cannot recover the secret without announcements")
 
     def to_dict(self) -> dict:
         return {
-            "params": {
-                "d": self.d,
-                "t": self.t,
-                "secret": self.secret,
-                "s_split": list(self.s_split),
-            },
+            "params": {"d": REF_D, "t": REF_T, "secret": REF_SECRET, "s_split": list(REF_PARAMS.s_vector)},
             "encoded_table": self.encoded_table.to_dict(),
             "transformed_table": self.transformed_table.to_dict(),
             "marginal": [published(p) for p in self.marginal],
@@ -234,8 +231,8 @@ class ExampleReport:
 
     def to_text(self) -> str:
         lines = [
-            f"reference example: d={self.d} t={self.t} secret={self.secret} "
-            f"split={','.join(str(s) for s in self.s_split)}",
+            f"reference example: d={REF_D} t={REF_T} secret={REF_SECRET} "
+            f"split={','.join(str(s) for s in REF_PARAMS.s_vector)}",
             "",
             f"encoded state ({len(self.encoded_table.rows)} rows):",
             *self.encoded_table.to_text_rows(),
@@ -252,39 +249,21 @@ class ExampleReport:
         return "\n".join(lines) + "\n"
 
 
-def reproduce_example_d4(
-    trials: int = 10000,
-    seed: int = DEFAULT_SEED,
-    s_split: tuple[int, int, int] = (3, 0, 0),
-) -> ExampleReport:
+def reproduce_example_d4(trials: int = 10000, seed: int = DEFAULT_SEED) -> ExampleReport:
     """Reproduce the d=4, t=3, secret-3 example and report its statistics.
 
     Asserts the encoded and transformed registers against their closed forms
-    (ReproductionError on mismatch), then reports agent 1's exact marginal
-    and success probability, both read from the song-original variant's law,
-    and a seeded Monte-Carlo estimate.
+    (ReproductionError on mismatch), then reports agent 1's exact marginal,
+    the song-original variant's law, and a seeded Monte-Carlo estimate.
     """
-    encoded, transformed = verify_reference_states(s_split)
-    params = ProtocolParams(d=REF_D, t=REF_T, s_vector=tuple(s_split))
-    marg = VARIANTS[SONG_ORIGINAL].distribution(params).probs
-    exact_p = float(marg[REF_SECRET])
-    estimate, stderr = success_probability_mc(params, trials, seed)
-    verdict = (
-        f"outcome uniform over {REF_D} values (exact p = {exact_p:.12g}); "
-        "the lone measuring agent cannot recover the secret without announcements"
-    )
+    encoded, transformed = verify_reference_states()
+    estimate, stderr = success_probability_mc(REF_PARAMS, trials, seed)
     return ExampleReport(
-        d=REF_D,
-        t=REF_T,
-        secret=REF_SECRET,
-        s_split=tuple(s_split),
         encoded_table=amplitude_table(encoded),
         transformed_table=amplitude_table(transformed),
-        marginal=tuple(float(p) for p in marg),
-        exact_p=exact_p,
+        marginal=tuple(float(p) for p in VARIANTS[SONG_ORIGINAL].distribution(REF_PARAMS).probs),
         mc_trials=trials,
         mc_seed=seed,
         mc_estimate=estimate,
         mc_stderr=stderr,
-        verdict=verdict,
     )

@@ -40,7 +40,7 @@ SWEEP_TOL = 1e-10
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+        return tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -78,8 +78,6 @@ def _parser() -> argparse.ArgumentParser:
 
     example = sub.add_parser("example", help="reproduce the built-in d=4 reference example")
     example.add_argument("--trials", type=int, default=10000, help="Monte-Carlo trials")
-    example.add_argument("--s-vector", type=_int_list, default=(3, 0, 0), dest="s_vector",
-                         help="phase split s_1,s_2,s_3 summing to 3 mod 4 (default 3,0,0)")
     _add_common(example)
 
     sweep = sub.add_parser(
@@ -149,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    report = reproduce_example_d4(trials=args.trials, seed=args.seed, s_split=args.s_vector)
+    report = reproduce_example_d4(trials=args.trials, seed=args.seed)
     _emit(args, report.to_text(), report.to_dict())
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 """Reference-example reproduction, success statistics, amplitude tables."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -12,8 +13,12 @@ from hypothesis import strategies as st
 from quditshare import protocol
 from quditshare.analysis import (
     MC_CHUNK,
+    REF_PARAMS,
+    REF_SECRET,
+    ExampleReport,
     amplitude_table,
     outcome_marginal,
+    published,
     repaired_success_probability_exact,
     reproduce_example_d4,
     success_probability_exact,
@@ -34,11 +39,13 @@ from quditshare.qudit_sim import (
     PRUNE_TOL,
     QuditRegister,
     SizeCapExceeded,
+    apply_local,
     basis_digits,
     basis_label,
     inverse_cdf,
     make_ghz,
     measure,
+    qft_inv,
 )
 
 
@@ -299,7 +306,7 @@ def test_mc_validates_arguments():
 def test_reference_report_values():
     report = reproduce_example_d4(trials=400, seed=7)
     assert report.exact_p == pytest.approx(0.25, abs=1e-12)
-    assert report.exact_p == report.marginal[report.secret]
+    assert report.exact_p == report.marginal[REF_SECRET]
     assert report.marginal == pytest.approx((0.25,) * 4, abs=1e-12)
     assert len(report.encoded_table.rows) == 4
     assert len(report.transformed_table.rows) == 16
@@ -308,13 +315,33 @@ def test_reference_report_values():
     assert "uniform" in report.verdict
 
 
-@pytest.mark.parametrize("split", [(3, 0, 0), (1, 1, 1), (2, 3, 2), (0, 0, 3)])
-def test_reference_report_reads_the_registry_law(split):
+def test_reference_report_reads_the_registry_law():
     # the example reports the song-original variant's own law, bit for bit
-    report = reproduce_example_d4(trials=10, s_split=split)
-    law = VARIANTS[SONG_ORIGINAL].distribution(ProtocolParams(d=4, t=3, s_vector=split)).probs
+    report = reproduce_example_d4(trials=10)
+    law = VARIANTS[SONG_ORIGINAL].distribution(d4_params()).probs
     assert report.marginal == tuple(float(p) for p in law)
-    assert report.exact_p == float(law[report.secret])
+    assert report.exact_p == float(law[REF_SECRET])
+
+
+def test_reference_report_keeps_only_what_it_computed():
+    assert [f.name for f in dataclasses.fields(ExampleReport)] == [
+        "encoded_table", "transformed_table", "marginal",
+        "mc_trials", "mc_seed", "mc_estimate", "mc_stderr",
+    ]
+    assert REF_PARAMS == d4_params()
+
+
+def test_reference_example_builds_no_params(monkeypatch):
+    built = []
+    post_init = ProtocolParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ProtocolParams, "__post_init__", counting)
+    reproduce_example_d4(trials=10)
+    assert built == []
 
 
 def test_reference_report_byte_identical_per_seed():
@@ -338,28 +365,19 @@ def _table_values(table_doc):
 
 
 def test_reference_split_invariance():
-    # every split of the accumulated phase 3 gives the same states; raw floats
-    # may differ by ~1e-16 dust, so compare within the pinned tolerance and
-    # require identical rendered tables
+    # every split of the accumulated phase 3 encodes the example's states, so
+    # one fixed split stands for all 16; raw floats may differ by ~1e-16 dust,
+    # so compare within the pinned tolerance and require identical rendered tables
     base = reproduce_example_d4(trials=50, seed=1)
     base_doc = base.to_dict()
     for s1, s2 in itertools.product(range(4), repeat=2):
-        s3 = (3 - s1 - s2) % 4
-        verify_reference_states((s1, s2, s3))  # raises on any deviation
-        report = reproduce_example_d4(trials=50, seed=1, s_split=(s1, s2, s3))
-        doc = report.to_dict()
-        assert doc["exact_p"] == base_doc["exact_p"]
-        for key in ("encoded_table", "transformed_table"):
-            ours, theirs = _table_values(doc[key]), _table_values(base_doc[key])
+        params = ProtocolParams(d=4, t=3, s_vector=(s1, s2, (3 - s1 - s2) % 4))
+        assert [published(p) for p in outcome_marginal(params).probs] == base_doc["marginal"]
+        encoded = post_encoding_state(params)
+        for table, key in ((amplitude_table(encoded), "encoded_table"),
+                           (amplitude_table(apply_local(encoded, 1, qft_inv(4))), "transformed_table")):
+            ours, theirs = _table_values(table.to_dict()), _table_values(base_doc[key])
             assert ours.keys() == theirs.keys()
             for label in ours:
                 assert abs(ours[label] - theirs[label]) < 1e-12
-        assert report.encoded_table.to_text_rows() == base.encoded_table.to_text_rows()
-        assert report.transformed_table.to_text_rows() == base.transformed_table.to_text_rows()
-
-
-def test_reference_rejects_bad_split():
-    with pytest.raises(ValueError):
-        verify_reference_states((1, 0, 0))
-    with pytest.raises(ValueError):
-        reproduce_example_d4(trials=10, s_split=(2, 2, 2))
+            assert table.to_text_rows() == getattr(base, key).to_text_rows()

@@ -247,14 +247,18 @@ def test_example_deterministic_bytes(capsys):
 
 
 def test_example_custom_split(capsys):
-    rc, out, _ = run_cli(capsys, "example", "--trials", "100", "--s-vector", "1,1,1")
-    assert rc == 0
-    assert "split=1,1,1" in out
+    # every split of the accumulated phase gives the same example, so the split is fixed
+    rc, out, err = run_cli(capsys, "example", "--trials", "100", "--s-vector", "1,1,1")
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --s-vector 1,1,1" in err
 
 
 def test_example_rejects_bad_split(capsys):
-    rc, _, err = run_cli(capsys, "example", "--trials", "100", "--s-vector", "1,1,0")
+    rc, out, err = run_cli(capsys, "example", "--trials", "100", "--s-vector", "1,1,0")
     assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --s-vector 1,1,0" in err
 
 
 def test_example_reproduction_failure_exit_4(capsys, monkeypatch):
@@ -314,12 +318,6 @@ MISUSE = {
                           "polynomial (5, 3, 2) needs abscissae"),
     "shares-too-few-xs": (["shares", "--d", "7", "--secret-coeffs", "5,3,2", "--xs", "1,2"],
                           "threshold t=3 exceeds agent count n=2"),
-    "example-2-entries": (["example", "--trials", "10", "--s-vector", "3,0"],
-                          "threshold t=3 contradicts the 2-entry s_vector"),
-    "example-4-entries": (["example", "--trials", "10", "--s-vector", "3,0,0,0"],
-                          "threshold t=3 contradicts the 4-entry s_vector"),
-    "example-split-sum": (["example", "--trials", "10", "--s-vector", "1,1,0"],
-                          "split (1, 1, 0) does not sum to 3 mod 4"),
     "simulate-negative-seed": (["simulate", "--d", "4", "--s-vector", "3,0,0", "--seed", "-1"],
                                "seed must be an integer >= 0"),
     "example-negative-seed": (["example", "--trials", "10", "--seed", "-1"],
@@ -369,6 +367,13 @@ def test_sweep_takes_no_grid_flags_exit_2(capsys):
 
 def test_malformed_int_list_exit_2(capsys):
     assert run_cli(capsys, "shares", "--d", "5", "--secret-coeffs", "3,x", "--xs", "1")[0] == 2
+    # an empty entry is refused, not dropped: 5,,3 would otherwise share 5 + 3x
+    for argv in (["shares", "--d", "7", "--secret-coeffs", "5,,3", "--xs", "1,2"],
+                 ["simulate", "--d", "4", "--s-vector", "3,0,0,"],
+                 ["simulate", "--d", "4", "--s-vector", ","]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "expected comma-separated integers" in err
 
 
 def test_python_m_entry_point(capsys):

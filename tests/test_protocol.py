@@ -1,5 +1,6 @@
 """Protocol runs: transcript shape, variant outcomes, determinism."""
 
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -511,6 +512,65 @@ def test_post_encoding_state_writes_its_register_once():
     params = ProtocolParams(8, 6, s_vector=(3, 1, 4, 1, 5, 2))
     peak = traced_peak(post_encoding_state, params)
     assert peak <= 1.1 * post_encoding_state(params).amps.nbytes
+
+
+# secrecy certificate ----------------------------------------------------------------
+# Before any announcement, every coalition A of fewer than t agents holds
+# rho_A = sum_j (1/d)|j...j><j...j|, the same state for every secret, so no
+# measurement by A beats a guess (the threshold property of Cleve, Gottesman
+# and Lo, PRL 83, 648, 1999).
+
+def _coalitions(t):
+    """Every coalition of 1..t-1 qudits, 0-based."""
+    return [a for size in range(1, t) for a in itertools.combinations(range(t), size)]
+
+
+def _secret_params(d, t, secret, rng):
+    """A seeded s-vector whose terms sum to secret mod d."""
+    head = [int(v) for v in rng.integers(0, d, size=t - 1)]
+    return ProtocolParams(d, t, s_vector=(*head, (secret - sum(head)) % d))
+
+
+def test_every_coalition_holds_the_same_dephased_state():
+    rng = np.random.default_rng(19)
+    for d in range(2, 8):
+        for t in range(2, 5):
+            for secret in range(d):
+                psi = post_encoding_state(_secret_params(d, t, secret, rng)).amps.reshape((d,) * t)
+                for a in _coalitions(t):
+                    rest = [q for q in range(t) if q not in a]
+                    m = np.transpose(psi, (*a, *rest)).reshape(d ** len(a), -1)
+                    expected = np.zeros((d ** len(a),) * 2)
+                    on_diagonal = np.arange(d) * sum(d**i for i in range(len(a)))
+                    expected[on_diagonal, on_diagonal] = 1 / d
+                    gap = np.max(np.abs(m @ m.conj().T - expected))
+                    assert gap <= 1e-12, (d, t, secret, a, gap)
+
+
+def test_every_coalition_reads_a_uniform_sum_exactly():
+    rng = np.random.default_rng(23)
+    for d in range(2, 6):
+        for t in range(2, 5):
+            for _ in range(2):
+                terms = tuple(int(v) for v in rng.integers(0, d, size=t))
+                for a in _coalitions(t):
+                    assert exact_law(d, terms, a) == [Fraction(1, d)] * d, (d, terms, a)
+
+
+def test_repaired_announcements_hide_the_secret_until_the_last():
+    # the all-announce flow's joint law is law[sum m mod d] / d^(t-1), so any
+    # t-1 announced results are uniform whatever the secret
+    rng = np.random.default_rng(29)
+    for d in range(2, 8):
+        for t in range(2, 5):
+            for secret in range(d):
+                reg = post_encoding_state(_secret_params(d, t, secret, rng))
+                for r in range(1, t + 1):
+                    reg = apply_local(reg, r, qft_inv(d))
+                joint = (np.abs(reg.amps) ** 2).reshape((d,) * t)
+                for left_out in range(t):
+                    gap = np.max(np.abs(joint.sum(axis=left_out) - d ** -(t - 1)))
+                    assert gap <= 1e-12, (d, t, secret, left_out, gap)
 
 
 # determinism / serialization -----------------------------------------------------------
