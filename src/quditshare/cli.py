@@ -6,10 +6,11 @@ Commands:
   example   reproduce the built-in d=4 reference example and report statistics
   sweep     tabulate exact success probabilities over d = 2..8, t = 1..4
 
-Exit codes: 0 success (a "no" verdict is still success), 2 invalid usage or
-configuration (including an unwritable --out path and a machine out of
-memory), 3 modular division impossible
-(non-invertible denominator), 4 reference-reproduction assertion failure.
+--seed random draws a seed from OS entropy; passed as --seed N, the printed seed replays the run.
+
+Exit codes: 0 success (a "no" verdict is still success), 2 invalid usage or configuration
+(including an unwritable --out path and a machine out of memory), 3 modular division
+impossible (non-invertible denominator), 4 reference-reproduction assertion failure.
 """
 
 from __future__ import annotations
@@ -40,9 +41,17 @@ SWEEP_TOL = 1e-10
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.replace(" ", "").split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _seed(text: str) -> int:
+    """An integer seed, or 'random' for one drawn from OS entropy."""
+    try:
+        return secrets.randbits(63) if text == "random" else int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'random', got {text!r}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -59,6 +68,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shares = sub.add_parser("shares", help="derive shares and interpolation terms")
+    shares.set_defaults(handler=cmd_shares, s_vector=None)
     shares.add_argument("--d", type=int, required=True, help="modulus")
     shares.add_argument("--secret-coeffs", type=_int_list, required=True, dest="coeffs",
                         help="polynomial coefficients a_0,a_1,... (a_0 is the secret)")
@@ -67,6 +77,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(shares)
 
     sim = sub.add_parser("simulate", help="run one protocol variant")
+    sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--variant", choices=tuple(VARIANTS), default=SONG_ORIGINAL)
     sim.add_argument("--d", type=int, required=True, help="modulus / local dimension")
     sim.add_argument("--s-vector", type=_int_list, default=None, dest="s_vector",
@@ -77,19 +88,19 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(sim)
 
     example = sub.add_parser("example", help="reproduce the built-in d=4 reference example")
+    example.set_defaults(handler=cmd_example)
     example.add_argument("--trials", type=int, default=10000, help="Monte-Carlo trials")
     _add_common(example)
 
     sweep = sub.add_parser(
         "sweep", help=f"exact success probabilities over d = 2..{SWEEP_D_MAX}, t = 1..{SWEEP_T_MAX}")
+    sweep.set_defaults(handler=cmd_sweep)
     sweep.add_argument("--variant", choices=tuple(VARIANTS), default=SONG_ORIGINAL)
     _add_common(sweep)
 
     for p in (sim, example, sweep):  # the commands that draw; shares draws nothing
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"RNG seed (default: fixed constant {DEFAULT_SEED})")
-        p.add_argument("--random-seed", action="store_true",
-                       help="seed from OS entropy instead of --seed")
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                       help=f"RNG seed, or 'random' for one from OS entropy (default: {DEFAULT_SEED})")
 
     return parser
 
@@ -105,10 +116,20 @@ def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
+def _params(args: argparse.Namespace) -> ProtocolParams:
+    """The flags as ProtocolParams, which checks them.
+
+    t is the length of the secret source, --s-vector or --secret-coeffs; n is
+    the length of --xs on the polynomial path and t otherwise.
+    """
+    poly = None if args.coeffs is None else SharePolynomial(args.d, args.coeffs)
+    return ProtocolParams(d=args.d, t=len(args.s_vector or args.coeffs or ()), polynomial=poly,
+                          abscissae=args.xs, s_vector=args.s_vector)
+
+
 def cmd_shares(args: argparse.Namespace) -> int:
-    poly = SharePolynomial(args.d, args.coeffs)
-    params = ProtocolParams(d=args.d, t=poly.threshold, polynomial=poly, abscissae=args.xs)
-    shares = gen_shares(poly, params.abscissae)
+    params = _params(args)
+    shares = gen_shares(params.polynomial, params.abscissae)
     terms = list(params.share_terms())
     total = sum(terms) % args.d
     lines = [f"d={args.d} t={params.t} n={params.n}"]
@@ -127,19 +148,8 @@ def cmd_shares(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _simulate_params(args: argparse.Namespace) -> ProtocolParams:
-    """The flags as ProtocolParams, which checks them.
-
-    t is the length of the secret source, --s-vector or --secret-coeffs; n is
-    the length of --xs on the polynomial path and t otherwise.
-    """
-    poly = None if args.coeffs is None else SharePolynomial(args.d, args.coeffs)
-    return ProtocolParams(d=args.d, t=len(args.s_vector or args.coeffs or ()), polynomial=poly,
-                          abscissae=args.xs, s_vector=args.s_vector)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    transcript = VARIANTS[args.variant].run(_simulate_params(args), args.seed)
+    transcript = VARIANTS[args.variant].run(_params(args), args.seed)
     verdict = "yes" if transcript.final_outcome == transcript.expected_secret else "no"
     text = transcript.to_text() + f"outcome == secret: {verdict}\n"
     _emit(args, text, {"transcript": transcript.to_dict(), "verdict": verdict})
@@ -187,23 +197,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "shares": cmd_shares,
-    "simulate": cmd_simulate,
-    "example": cmd_example,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
-    if getattr(args, "random_seed", False):
-        args.seed = secrets.randbits(63)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except NotInvertible as exc:
         print(f"error: modular division impossible: {exc}", file=sys.stderr)
         return EXIT_NOT_INVERTIBLE

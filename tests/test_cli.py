@@ -40,6 +40,9 @@ def test_shares_mod7(capsys):
     for r, s in [(1, 2), (2, 6), (3, 4)]:
         assert f"term s_{r} = {s}" in out
     assert "sum of terms = 5" in out
+    # spaces around an entry are not part of it
+    spaced = run_cli(capsys, "shares", "--d", "7", "--secret-coeffs", " 5, 3 ,2", "--xs", "1,2,3")
+    assert spaced == (0, out, "")
 
 
 def test_shares_not_invertible_exit_3(capsys):
@@ -163,7 +166,7 @@ def test_simulate_help_lists_no_t_or_n(capsys):
 def test_simulate_polynomial_n_from_xs(capsys):
     # n=4 comes from --xs; the first 3 agents participate, so x=4 changes no byte
     argv = ["simulate", "--variant", "repaired", "--d", "7", "--secret-coeffs", "5,3,2"]
-    params = cli._simulate_params(cli._parser().parse_args([*argv, "--xs", "1,2,3,4"]))
+    params = cli._params(cli._parser().parse_args([*argv, "--xs", "1,2,3,4"]))
     assert (params.t, params.n) == (3, 4)
     rc, out, _ = run_cli(capsys, *argv, "--xs", "1,2,3,4")
     assert rc == 0
@@ -189,12 +192,14 @@ def test_simulate_every_variant_structured(capsys, variant):
 
 
 def test_simulate_past_the_old_cap(capsys):
-    # 7^8 amplitudes exceed the cap, but a run allocates only the 7 branch amplitudes
-    rc, out, err = run_cli(capsys, "simulate", "--variant", "repaired", "--d", "7",
-                           "--s-vector", "1,2,3,4,5,6,0,1")
-    assert rc == 0
-    assert err == ""
-    assert out.rstrip().endswith("outcome == secret: yes")
+    # 7^8 and 65536^4 = 2^64 amplitudes exceed the cap, but a run allocates only the d
+    # branch amplitudes
+    for d, s_vector in (("7", "1,2,3,4,5,6,0,1"), ("65536", "1,2,3,4")):
+        rc, out, err = run_cli(capsys, "simulate", "--variant", "repaired", "--d", d,
+                               "--s-vector", s_vector)
+        assert rc == 0
+        assert err == ""
+        assert out.rstrip().endswith("outcome == secret: yes")
 
 
 def test_out_of_memory_exit_2(capsys, monkeypatch):
@@ -347,8 +352,9 @@ def test_missing_required_flag_exit_2(capsys):
 
 
 def test_shares_takes_no_seed_exit_2(capsys):
-    # shares draws nothing, so it has no seed flags
-    for flag in (["--seed", "1"], ["--random-seed"]):
+    # shares draws nothing, so it has no seed flag; it reads its params as simulate does,
+    # but takes no --s-vector
+    for flag in (["--seed", "1"], ["--seed", "random"], ["--s-vector", "3"]):
         rc, out, err = run_cli(capsys, "shares", "--d", "5", "--secret-coeffs", "3,2", "--xs", "1,2",
                                *flag)
         assert rc == 2
@@ -370,7 +376,9 @@ def test_malformed_int_list_exit_2(capsys):
     # an empty entry is refused, not dropped: 5,,3 would otherwise share 5 + 3x
     for argv in (["shares", "--d", "7", "--secret-coeffs", "5,,3", "--xs", "1,2"],
                  ["simulate", "--d", "4", "--s-vector", "3,0,0,"],
-                 ["simulate", "--d", "4", "--s-vector", ","]):
+                 ["simulate", "--d", "4", "--s-vector", ","],
+                 # a space inside an entry does not join two numbers into 53
+                 ["shares", "--d", "97", "--secret-coeffs", "5 3,2", "--xs", "1,2"]):
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (2, "")
         assert "expected comma-separated integers" in err
@@ -421,8 +429,33 @@ def test_random_seed_flag_varies_outcomes(capsys):
     outs = set()
     for _ in range(6):
         rc, out, _ = run_cli(
-            capsys, "simulate", "--d", "4", "--s-vector", "3,0,0", "--random-seed"
+            capsys, "simulate", "--d", "4", "--s-vector", "3,0,0", "--seed", "random"
         )
         assert rc == 0
         outs.add(out)
     assert len(outs) > 1  # entropy seeding should not repeat all six transcripts
+
+
+DRAWING = {
+    "simulate": ["simulate", "--d", "4", "--s-vector", "3,0,0"],
+    "example": ["example", "--trials", "50"],
+    "sweep": ["sweep"],
+}
+
+
+@pytest.mark.parametrize("command", list(DRAWING))
+def test_seed_random_replays_byte_for_byte(capsys, command):
+    rc, out, _ = run_cli(capsys, *DRAWING[command], "--seed", "random")
+    assert rc == 0
+    seed = re.search(r"seed=(\d+)", out).group(1)
+    assert run_cli(capsys, *DRAWING[command], "--seed", seed) == (0, out, "")
+
+
+@pytest.mark.parametrize("command", list(DRAWING))
+def test_seed_flag_refusals_exit_2(capsys, command):
+    rc, out, err = run_cli(capsys, *DRAWING[command], "--random-seed")
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --random-seed" in err
+    rc, out, err = run_cli(capsys, *DRAWING[command], "--seed", "abc")
+    assert (rc, out) == (2, "")
+    assert "argument --seed: expected an integer or 'random', got 'abc'" in err
