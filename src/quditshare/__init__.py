@@ -28,6 +28,7 @@ from .modmath import (
     eval_poly,
     gen_shares,
     lagrange_term,
+    lagrange_terms,
     mod_inverse,
     reconstruct_classical,
 )

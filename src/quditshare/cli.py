@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ReproductionError, published, reproduce_example_d4
-from .modmath import NotInvertible, SharePolynomial, gen_shares
+from .modmath import NotInvertible, SharePolynomial, gen_shares, lagrange_terms
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams, derived_seed
 from .qudit_sim import _check_tol
 
@@ -130,7 +130,7 @@ def _params(args: argparse.Namespace) -> ProtocolParams:
 def cmd_shares(args: argparse.Namespace) -> int:
     params = _params(args)
     shares = gen_shares(params.polynomial, params.abscissae)
-    terms = list(params.share_terms())
+    terms = list(lagrange_terms(shares[: params.t], args.d))
     total = sum(terms) % args.d
     lines = [f"d={args.d} t={params.t} n={params.n}"]
     lines.extend(f"share: x={sh.x} y={sh.y}" for sh in shares)

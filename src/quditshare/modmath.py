@@ -120,25 +120,57 @@ def gen_shares(p: SharePolynomial, xs: Sequence[int]) -> list[Share]:
     return [Share(x, eval_poly(p, x)) for x in _check_abscissae(xs, p.d)]
 
 
+def _check_points(shares: Sequence[Share], d: int) -> tuple[tuple[int, ...], list[int]]:
+    """The shares' abscissae and values as ints, each checked once."""
+    return _check_abscissae((sh.x for sh in shares), d), [_as_int(sh.y, "share value", 0, d) for sh in shares]
+
+
+def _term(xs: tuple[int, ...], ys: list[int], r: int, d: int) -> int:
+    """Term r (0-based) of checked points: f(x_r) * prod_{j != r} x_j times one inverse of prod (x_j - x_r)."""
+    x_r = xs[r]
+    num = den = 1
+    for j, x in enumerate(xs):
+        if j != r:
+            num = num * x % d
+            den = den * (x - x_r) % d
+    try:
+        return ys[r] * num * mod_inverse(den, d) % d
+    except NotInvertible:
+        # the product of units is a unit, so some difference is not one: name the first
+        for j, x in enumerate(xs):
+            if j != r:
+                mod_inverse((x - x_r) % d, d)
+        raise
+
+
+def lagrange_terms(shares: Sequence[Share], d: int) -> tuple[int, ...]:
+    """Every participant's term s_r = f(x_r) * prod_{j != r} x_j / (x_j - x_r) mod d, r = 1..t.
+
+    The modulus, abscissae and share values are checked once, and each term
+    makes one mod_inverse, of the product of its differences. The first term
+    with a non-unit difference raises NotInvertible naming its first such
+    difference, the value lagrange_term names for that term.
+    """
+    d = _check_modulus(d)
+    xs, ys = _check_points(shares, d)
+    return tuple(_term(xs, ys, r, d) for r in range(len(xs)))
+
+
 def lagrange_term(shares: Sequence[Share], r: int, d: int) -> int:
     """Participant r's term s_r = f(x_r) * prod_{j != r} x_j / (x_j - x_r) mod d, as an int.
 
     r indexes the share list 1-based. Division is realized by mod_inverse, so
-    a non-unit difference (x_j - x_r) raises NotInvertible. The empty product
-    (a single share) leaves s_r = f(x_r).
+    a non-unit difference (x_j - x_r) raises NotInvertible, naming the first
+    one. The empty product (a single share) leaves s_r = f(x_r). Only term r
+    is computed, so another term's non-unit difference does not raise here.
     """
     d = _check_modulus(d)
     r = _as_int(r, "participant index", 1, len(shares) + 1)
-    xs = _check_abscissae((sh.x for sh in shares), d)
-    ys = [_as_int(sh.y, "share value", 0, d) for sh in shares]
-    x_r, s = xs[r - 1], ys[r - 1]
-    for j, x in enumerate(xs, start=1):
-        if j != r:
-            s = s * x * mod_inverse((x - x_r) % d, d) % d
-    return s
+    xs, ys = _check_points(shares, d)
+    return _term(xs, ys, r - 1, d)
 
 
 def reconstruct_classical(shares: Sequence[Share], d: int) -> int:
     """Sum of all Lagrange terms mod d; recovers a_0 for shares of one polynomial."""
     d = _check_modulus(d)
-    return sum(lagrange_term(shares, r, d) for r in range(1, len(shares) + 1)) % d
+    return sum(lagrange_terms(shares, d)) % d

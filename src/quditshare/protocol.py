@@ -7,8 +7,10 @@ final outcome is the sum of their results mod d.
 
 Every state the flow reaches is sum_k c_k |k...k> with c_k = w^(S*k) / sqrt(d),
 so its laws need only the d branch amplitudes c, never the d^t register:
-branch_register(d, terms) encodes c on one qudit with the library's own GHZ
-and phase gates, so every protocol path runs up to the largest modulus.
+branch_register(d, terms) adds the terms into one integer exponent vector
+e_k = sum_r s_r*k mod d and encodes c_k = w^(e_k) / sqrt(d) on one qudit with
+one phase gate on the library's GHZ state, so the phases are exact at any t
+and every protocol path runs up to the largest modulus.
 ProtocolParams describes the secret alone; Variant.terms(params) resolves it
 to the phase terms the flow encodes, one per entangled qudit.
 Variant.distribution(params), the final outcome's exact law, is the one law
@@ -45,9 +47,10 @@ from .modmath import (
     _check_abscissae,
     _check_modulus,
     gen_shares,
-    lagrange_term,
+    lagrange_terms,
 )
 from .qudit_sim import (
+    DiagonalGate,
     MarginalDistribution,
     QuditRegister,
     _on_diagonal,
@@ -55,7 +58,6 @@ from .qudit_sim import (
     inverse_cdf,
     make_ghz,
     marginal,
-    phase_gate,
     qft_inv,
 )
 
@@ -192,8 +194,7 @@ class ProtocolParams:
         """The encoded term per participating agent (first t of n)."""
         if self.s_vector is not None:
             return self.s_vector
-        shares = gen_shares(self.polynomial, self.abscissae)[: self.t]
-        return tuple(lagrange_term(shares, r, self.d) for r in range(1, self.t + 1))
+        return lagrange_terms(gen_shares(self.polynomial, self.abscissae)[: self.t], self.d)
 
     @property
     def expected_secret(self) -> int:
@@ -206,14 +207,18 @@ class ProtocolParams:
 def branch_register(d: int, terms: tuple[int, ...]) -> QuditRegister:
     """One qudit carrying the branch amplitudes c_k of the encoded state sum_k c_k |k...k>.
 
-    Built like the t-qudit register, from a GHZ state and one phase gate per
-    term, so the gates' unitarity and the norm are checked. It holds d
-    amplitudes, so no d^t size cap applies.
+    Each term, checked as a phase exponent in [0, d), adds s_r*k to one
+    integer exponent vector e_k mod d, so c_k = w^(e_k) / sqrt(d) is exact
+    at any t. One phase gate diag(w^e) then acts on a one-qudit GHZ state,
+    so the gate's unitarity and the norm are checked. It holds d amplitudes,
+    so no d^t size cap applies.
     """
     reg = make_ghz(d, 1)
+    k = np.arange(d, dtype=np.int64)
+    e = np.zeros(d, dtype=np.int64)
     for s_r in terms:
-        reg = apply_local(reg, 1, phase_gate(d, s_r))
-    return reg
+        e = (e + _as_int(s_r, "phase exponent", 0, d) * k) % d
+    return apply_local(reg, 1, DiagonalGate(np.exp(2j * np.pi * e / d)))
 
 
 def post_encoding_state(params: ProtocolParams) -> QuditRegister:

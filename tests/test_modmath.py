@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditshare import modmath
 from quditshare.modmath import (
     MAX_MODULUS,
     DuplicateAbscissa,
@@ -18,6 +19,7 @@ from quditshare.modmath import (
     eval_poly,
     gen_shares,
     lagrange_term,
+    lagrange_terms,
     mod_inverse,
     reconstruct_classical,
 )
@@ -51,6 +53,28 @@ def interpolate_at_zero_bruteforce(shares, d):
     ]
     assert len(matches) == 1, f"expected a unique interpolant, got {len(matches)}"
     return matches[0][0]
+
+
+def term_factorwise(shares, r, d):
+    """Oracle: term r (0-based) multiplied factor by factor, one inverse per difference."""
+    x_r, s = shares[r].x, shares[r].y
+    for j, sh in enumerate(shares):
+        if j != r:
+            diff = (sh.x - x_r) % d
+            try:
+                inv = pow(diff, -1, d)
+            except ValueError:
+                raise NotInvertible(diff, d) from None
+            s = s * sh.x * inv % d
+    return s
+
+
+def outcome(fn, *args):
+    """fn's result, or the value and modulus of the NotInvertible it raises."""
+    try:
+        return fn(*args)
+    except NotInvertible as exc:
+        return NotInvertible, exc.value, exc.modulus
 
 
 # mod_inverse ---------------------------------------------------------------
@@ -186,6 +210,36 @@ def test_lagrange_term_permutation_invariant(data):
     s_1 = lagrange_term(shares, 1, d)
     shuffled = [shares[0]] + [shares[i] for i in perm]
     assert lagrange_term(shuffled, 1, d) == s_1
+
+
+@given(st.data())
+def test_lagrange_terms_match_factor_by_factor(data):
+    d = data.draw(st.sampled_from([2, 3, 4, 6, 7, 8, 9, 12, 13, 31, 65521, 65536]))
+    t = data.draw(st.integers(min_value=1, max_value=min(6, d - 1)))
+    xs = data.draw(st.lists(st.integers(1, d - 1), min_size=t, max_size=t, unique=True))
+    ys = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
+    shares = [Share(x, y) for x, y in zip(xs, ys)]
+    expected = outcome(lambda: tuple(term_factorwise(shares, r, d) for r in range(t)))
+    assert outcome(lagrange_terms, shares, d) == expected
+    for r in range(1, t + 1):
+        assert outcome(lagrange_term, shares, r, d) == outcome(term_factorwise, shares, r - 1, d)
+
+
+def test_lagrange_term_computes_its_own_term_only():
+    # mod 4 with xs (1, 3, 2): term 3's differences -1 and 1 are units, term 1's 3 - 1 = 2 is not
+    shares = [Share(1, 1), Share(3, 2), Share(2, 3)]
+    assert lagrange_term(shares, 3, 4) == 3
+    with pytest.raises(NotInvertible) as exc:
+        lagrange_terms(shares, 4)
+    assert exc.value.value == 2
+
+
+def test_lagrange_terms_make_one_inverse_per_term(monkeypatch):
+    calls = []
+    monkeypatch.setattr(modmath, "mod_inverse", lambda a, d, fn=mod_inverse: calls.append(a) or fn(a, d))
+    shares = gen_shares(SharePolynomial(13, (5, 3, 2, 7, 1)), [1, 2, 3, 4, 5])
+    assert sum(lagrange_terms(shares, 13)) % 13 == 5
+    assert len(calls) == 5
 
 
 def test_reconstruct_values():

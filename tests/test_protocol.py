@@ -20,6 +20,7 @@ from quditshare.protocol import (
     VARIANTS,
     ProtocolParams,
     Variant,
+    branch_register,
     derived_seed,
     post_encoding_state,
     run_repaired_all_measure,
@@ -113,6 +114,15 @@ def test_share_terms_use_first_t_of_n():
     assert sum(terms) % 7 == 5
 
 
+def test_share_terms_large_polynomial_sum_to_the_secret():
+    d, t = 65521, 400
+    rng = np.random.default_rng(400)
+    coeffs = tuple(int(a) for a in rng.integers(0, d, size=t))
+    xs = tuple(int(x) for x in rng.choice(np.arange(1, d), size=t + 100, replace=False))
+    params = ProtocolParams(d, t, polynomial=SharePolynomial(d, coeffs), abscissae=xs)
+    assert sum(params.share_terms()) % d == coeffs[0]
+
+
 def test_expected_secret_direct_path():
     assert d4_params().expected_secret == 3
     assert ProtocolParams(d=4, t=3, s_vector=(2, 2, 2)).expected_secret == 2
@@ -129,7 +139,7 @@ def test_not_invertible_propagates_from_polynomial_path():
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_run_derives_the_share_terms_once(monkeypatch, variant):
     calls = []
-    for name in ("gen_shares", "lagrange_term"):
+    for name in ("gen_shares", "lagrange_terms"):
         fn = getattr(protocol, name)
         monkeypatch.setattr(protocol, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     terms = Variant.terms
@@ -140,7 +150,7 @@ def test_run_derives_the_share_terms_once(monkeypatch, variant):
     )
     assert VARIANTS[variant].run(params).expected_secret == 5
     assert calls.count("gen_shares") == 1
-    assert calls.count("lagrange_term") == 3
+    assert calls.count("lagrange_terms") == 1
     assert calls.count("terms") == 1
 
 
@@ -486,16 +496,23 @@ def test_post_encoding_all_zero_terms_is_ghz():
 
 
 def test_post_encoding_state_is_the_ghz_and_phase_chain():
+    # The encoding sums integer exponents, so at every t it is the one gate of the summed
+    # term bit for bit. The chain of t float gates rounds once per gate, so past t = 1 it
+    # is matched to the oracle bound.
     rng = np.random.default_rng(5)
     for d in range(2, 17):
         t = 1
         while d**t <= 4096:
             s_vec = tuple(int(v) for v in rng.integers(0, d, size=t))
+            collapsed = apply_local(make_ghz(d, 1), 1, phase_gate(d, sum(s_vec) % d))
+            assert np.array_equal(branch_register(d, s_vec).amps, collapsed.amps), (d, t)
             reg = make_ghz(d, t)
             for r, s_r in enumerate(s_vec, start=1):
                 reg = apply_local(reg, r, phase_gate(d, s_r))
             encoded = post_encoding_state(ProtocolParams(d, t, s_vector=s_vec))
-            assert np.array_equal(encoded.amps, reg.amps), (d, t)
+            if t == 1:
+                assert np.array_equal(encoded.amps, reg.amps), d
+            assert_registers_close(encoded, reg, tol=1e-12)
             t += 1
 
 
