@@ -41,7 +41,6 @@ from .protocol import (
     ProtocolParams,
     Transcript,
     Variant,
-    derived_seed,
     post_encoding_state,
     run_repaired_all_measure,
     run_song_original,
@@ -69,4 +68,4 @@ from .qudit_sim import (
     qft_inv,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -70,7 +70,7 @@ DEFAULT_SEED = 12345
 
 
 def derived_seed(seed: int, index: int) -> int:
-    """Seed of sweep cell index; Monte Carlo draws from one stream instead (uint32s collide)."""
+    """Seed of stream index under seed: no library path calls it, but perfbench traces it."""
     return int(np.random.SeedSequence((_as_int(seed, "seed", 0), index)).generate_state(1)[0])
 
 

@@ -278,36 +278,50 @@ def test_example_reproduction_failure_exit_4(capsys, monkeypatch):
 
 # sweep -------------------------------------------------------------------------
 
-def test_sweep_song_original(capsys):
+def sweep_rows(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--format", "structured")
     assert rc == 0
-    doc = json.loads(out)
-    assert len(doc["entries"]) == 7 * 4
-    for e in doc["entries"]:
-        expected = 1.0 if e["t"] == 1 else 1.0 / e["d"]
-        assert e["p"] == pytest.approx(expected, abs=1e-10)
-        assert e["expected"] == pytest.approx(expected, abs=1e-15)
+    rows = json.loads(out)["entries"]
+    assert [(e["variant"], e["d"], e["t"]) for e in rows] == [
+        (v, d, t) for v in VARIANTS for d in range(2, 9) for t in range(1, 5)
+    ]
+    return rows
+
+
+def test_sweep_song_original(capsys):
+    for e in sweep_rows(capsys):
+        if e["variant"] == "song-original":
+            expected = 1.0 if e["t"] == 1 else 1.0 / e["d"]
+            assert e["min_p"] == pytest.approx(expected, abs=1e-10)
+            assert e["max_p"] == pytest.approx(expected, abs=1e-10)
+            assert e["expected"] == pytest.approx(expected, abs=1e-15)
 
 
 def test_sweep_repaired_all_ones(capsys):
-    rc, out, _ = run_cli(capsys, "sweep", "--variant", "repaired", "--format", "structured")
-    assert rc == 0
-    doc = json.loads(out)
-    assert all(e["p"] == pytest.approx(1.0, abs=1e-10) for e in doc["entries"])
+    # the repaired and the product flows return every secret with certainty
+    for e in sweep_rows(capsys):
+        if e["variant"] != "song-original":
+            assert (e["min_p"], e["max_p"], e["expected"]) == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_sweep_every_variant(capsys, variant):
-    rc, out, _ = run_cli(capsys, "sweep", "--variant", variant)
+    rc, out, _ = run_cli(capsys, "sweep")
     assert rc == 0
+    rows = [line.split() for line in out.splitlines() if line.split()[0] == variant]
+    assert len(rows) == 7 * 4
+    assert all(min_p == max_p == expected for *_, min_p, max_p, expected in rows)
     assert out.rstrip().endswith("all entries match expected: yes")
 
 
 def test_sweep_text_table(capsys):
     rc, out, _ = run_cli(capsys, "sweep")
     assert rc == 0
-    assert out.rstrip().endswith("all entries match expected: yes")
-    assert " 2  1  1" in out
+    lines = out.splitlines()
+    assert lines[0].startswith("every secret S in Z_d as the split (S, 0, ..., 0)")
+    assert len(lines) == 2 + 3 * 7 * 4 + 1
+    assert lines[-1] == "all entries match expected: yes"
+    assert "song-original           2  1  1" in out
 
 
 MISUSE = {
@@ -327,7 +341,6 @@ MISUSE = {
                                "seed must be an integer >= 0"),
     "example-negative-seed": (["example", "--trials", "10", "--seed", "-1"],
                               "seed must be an integer >= 0"),
-    "sweep-negative-seed": (["sweep", "--seed", "-1"], "seed must be an integer >= 0"),
 }
 
 
@@ -363,8 +376,9 @@ def test_shares_takes_no_seed_exit_2(capsys):
 
 
 def test_sweep_takes_no_grid_flags_exit_2(capsys):
-    # the sweep grid is fixed, so a sub-grid cannot re-number the published cells
-    for flag in (["--d-max", "4"], ["--t-max", "3"]):
+    # the sweep table is fixed and exhaustive: no sub-grid, no sampled split, no single variant
+    for flag in (["--d-max", "4"], ["--t-max", "3"], ["--seed", "1"], ["--seed", "random"],
+                 ["--variant", "repaired"]):
         rc, out, err = run_cli(capsys, "sweep", *flag)
         assert rc == 2
         assert out == ""
@@ -439,7 +453,6 @@ def test_random_seed_flag_varies_outcomes(capsys):
 DRAWING = {
     "simulate": ["simulate", "--d", "4", "--s-vector", "3,0,0"],
     "example": ["example", "--trials", "50"],
-    "sweep": ["sweep"],
 }
 
 

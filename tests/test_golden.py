@@ -27,6 +27,15 @@ simulate-repaired-structured; both still recover the secret. Every
 Monte-Carlo estimate and every song-original and product transcript kept its
 bytes, since a lone measurer's table already was its law.
 
+At 0.4.0 sweep is one fixed table and draws nothing. A law depends on the
+terms only through their sum mod d, so for every variant, cell and secret S
+it checks the law of the split (S, 0, ..., 0), which is the law of every
+term vector with that secret; it had checked one seeded term vector per cell
+for one variant. Its rows now give each variant's least and greatest p over
+the d secrets, and it has no seed to print. So sweep moved, and
+sweep-repaired-structured became sweep-structured, the same table as JSON.
+The other nine files kept their bytes.
+
 Each output is also stored as tests/golden/<name>.txt (.json for structured
 output) and compared byte for byte, so a mismatch shows as a unified diff; the
 hash stays as a second check, and each file must hash to its pin.
@@ -59,13 +68,14 @@ GOLDEN = {
         ["simulate", "--variant", "product-counterfactual", "--d", "4", "--s-vector", "3"],
         "42ff4152f24b81e10fbe3b753cfaed9c8b30cb51d2c5b111f486bb6b787127cd",
     ),
+    # 0.4.0's one table: every variant, every secret
     "sweep": (
         ["sweep"],
-        "2cfd3100ffa1cb64c32206021e9aa590a66c7df48c1eabf92808a263c4ea2d23",
+        "03ac49db21237dc9643a59e2098de0427b978c7cb72aaa20b789f3cf6fe1b7d4",
     ),
-    "sweep-repaired-structured": (
-        ["sweep", "--variant", "repaired", "--format", "structured"],
-        "31bf97c704fb72d5aa34cb1435b361e1985bb2d68bb6a5efa94b4d8c24b3ae70",
+    "sweep-structured": (
+        ["sweep", "--format", "structured"],
+        "4dbd6546718862bd8c4ea547cfe53f9970d339e916d5333cd012cb9742d61e8e",
     ),
     # the tables, marginal and exact lines; the Monte-Carlo line is cut off
     "example-above-monte-carlo": (

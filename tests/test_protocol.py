@@ -388,13 +388,28 @@ def test_registry_distribution_matches_exact_oracle(params):
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
+def test_sweep_splits_cover_every_term_vector(variant):
+    # the sweep's claim, bit for bit: on its grid every term vector's law is the
+    # law of its secret's split (S, 0, ..., 0)
+    flow = VARIANTS[variant]
+    for d, t in itertools.product(range(2, 9), range(1, 5)):
+        split = [flow.distribution(ProtocolParams(d, t, s_vector=(secret,) + (0,) * (t - 1))).probs
+                 for secret in range(d)]
+        for s in itertools.product(range(d), repeat=t):
+            assert np.array_equal(flow.distribution(ProtocolParams(d, t, s_vector=s)).probs,
+                                  split[sum(s) % d]), (d, s)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
 def test_sweep_structured_bytes_match_the_dense_oracle(monkeypatch, capsys, variant):
-    # published at 12 significant digits, the sweep does not depend on the gate backend
-    argv = ["sweep", "--variant", variant, "--format", "structured"]
+    # published at 12 significant digits, the sweep does not depend on the gate backend:
+    # the table is the same with this variant's laws taken from the dense oracle
+    argv = ["sweep", "--format", "structured"]
     assert cli.main(argv) == 0
     library = capsys.readouterr().out
-    monkeypatch.setattr(Variant, "distribution",
-                        lambda self, params: MarginalDistribution(ORACLES[self.name](params)))
+    law = Variant.distribution
+    monkeypatch.setattr(Variant, "distribution", lambda self, params: (
+        MarginalDistribution(ORACLES[variant](params)) if self.name == variant else law(self, params)))
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == library
 
