@@ -3,7 +3,7 @@
 Commands:
   shares    derive shares and interpolation terms from polynomial coefficients
   simulate  run one protocol variant and print its transcript plus a verdict
-  example   reproduce the built-in d=4 reference example and report statistics
+  example   reproduce the built-in d=4 reference example; its Monte Carlo draws 10^4 trials
   sweep     check every variant's exact law for every secret over d = 2..8, t = 1..4
 
 --seed (simulate, example) random draws a seed from OS entropy; as --seed N it replays the run.
@@ -90,7 +90,6 @@ def _parser() -> argparse.ArgumentParser:
 
     example = sub.add_parser("example", help="reproduce the built-in d=4 reference example")
     example.set_defaults(handler=cmd_example)
-    example.add_argument("--trials", type=int, default=10000, help="Monte-Carlo trials")
     _add_common(example)
 
     sweep = sub.add_parser(
@@ -157,7 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    report = reproduce_example_d4(trials=args.trials, seed=args.seed)
+    report = reproduce_example_d4(seed=args.seed)
     _emit(args, report.to_text(), report.to_dict())
     return EXIT_OK
 

@@ -57,7 +57,7 @@ def _check_abscissae(xs: Iterable[int], d: int) -> tuple[int, ...]:
     """The abscissae as ints: nonzero residues in [1, d), no two equal."""
     seen: dict[int, None] = {}
     for x in xs:
-        if x == 0:
+        if x == 0 and hasattr(type(x), "__index__"):  # an integer 0; _as_int refuses 0.0
             raise ZeroAbscissa("abscissa 0 is reserved for the secret")
         x = _as_int(x, "abscissa", 1, d)
         if x in seen:

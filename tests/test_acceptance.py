@@ -90,7 +90,7 @@ def test_criterion_2_reference_state_reproduction(capsys):
     enc_err = float(np.max(np.abs(encoded.amps - enc_expected)))
     tr_err = float(np.max(np.abs(transformed.amps - tr_expected)))
 
-    rc = cli_main(["example", "--trials", "2000", "--seed", "1"])
+    rc = cli_main(["example", "--seed", "1"])
     capsys.readouterr()
     _verdict(
         2,

@@ -15,6 +15,7 @@ from quditshare.analysis import (
     MC_CHUNK,
     REF_PARAMS,
     REF_SECRET,
+    REF_TRIALS,
     ExampleReport,
     amplitude_table,
     outcome_marginal,
@@ -304,20 +305,21 @@ def test_mc_validates_arguments():
 # reference example report --------------------------------------------------------
 
 def test_reference_report_values():
-    report = reproduce_example_d4(trials=400, seed=7)
+    report = reproduce_example_d4(seed=7)
     assert report.exact_p == pytest.approx(0.25, abs=1e-12)
     assert report.exact_p == report.marginal[REF_SECRET]
     assert report.marginal == pytest.approx((0.25,) * 4, abs=1e-12)
     assert len(report.encoded_table.rows) == 4
     assert len(report.transformed_table.rows) == 16
-    assert report.mc_trials == 400
+    assert (report.mc_estimate, report.mc_stderr) == success_probability_mc(REF_PARAMS, REF_TRIALS, 7)
+    assert report.to_dict()["mc"]["trials"] == REF_TRIALS == 10_000
     assert abs(report.mc_estimate - 0.25) < 4 * max(report.mc_stderr, 1e-3)
     assert "uniform" in report.verdict
 
 
 def test_reference_report_reads_the_registry_law():
     # the example reports the song-original variant's own law, bit for bit
-    report = reproduce_example_d4(trials=10)
+    report = reproduce_example_d4()
     law = VARIANTS[SONG_ORIGINAL].distribution(d4_params()).probs
     assert report.marginal == tuple(float(p) for p in law)
     assert report.exact_p == float(law[REF_SECRET])
@@ -326,7 +328,7 @@ def test_reference_report_reads_the_registry_law():
 def test_reference_report_keeps_only_what_it_computed():
     assert [f.name for f in dataclasses.fields(ExampleReport)] == [
         "encoded_table", "transformed_table", "marginal",
-        "mc_trials", "mc_seed", "mc_estimate", "mc_stderr",
+        "mc_seed", "mc_estimate", "mc_stderr",
     ]
     assert REF_PARAMS == d4_params()
 
@@ -340,19 +342,19 @@ def test_reference_example_builds_no_params(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ProtocolParams, "__post_init__", counting)
-    reproduce_example_d4(trials=10)
+    reproduce_example_d4()
     assert built == []
 
 
 def test_reference_report_byte_identical_per_seed():
-    a = reproduce_example_d4(trials=200, seed=3)
-    b = reproduce_example_d4(trials=200, seed=3)
+    a = reproduce_example_d4(seed=3)
+    b = reproduce_example_d4(seed=3)
     assert a.to_text() == b.to_text()
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
 def test_reference_report_structured_round_trip():
-    doc = reproduce_example_d4(trials=150, seed=5).to_dict()
+    doc = reproduce_example_d4(seed=5).to_dict()
     assert json.loads(json.dumps(doc)) == doc
     assert set(doc) == {
         "params", "encoded_table", "transformed_table", "marginal", "exact_p", "mc", "verdict",
@@ -368,7 +370,7 @@ def test_reference_split_invariance():
     # every split of the accumulated phase 3 encodes the example's states, so
     # one fixed split stands for all 16; raw floats may differ by ~1e-16 dust,
     # so compare within the pinned tolerance and require identical rendered tables
-    base = reproduce_example_d4(trials=50, seed=1)
+    base = reproduce_example_d4(seed=1)
     base_doc = base.to_dict()
     for s1, s2 in itertools.product(range(4), repeat=2):
         params = ProtocolParams(d=4, t=3, s_vector=(s1, s2, (3 - s1 - s2) % 4))

@@ -1,5 +1,6 @@
 """CLI: exit codes, output formats, verdicts, file emission."""
 
+import argparse
 import json
 import os
 import re
@@ -147,15 +148,6 @@ def test_simulate_rejects_neither_secret_source(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("flag", [("--t", "3"), ("--n", "4")])
-def test_simulate_has_no_t_or_n_flag(capsys, flag):
-    # t is the secret source's length and n that of --xs, so neither is a flag
-    rc, out, err = run_cli(capsys, "simulate", "--d", "4", "--s-vector", "3,0,0", *flag)
-    assert rc == 2
-    assert out == ""
-    assert "unrecognized arguments" in err
-
-
 def test_simulate_help_lists_no_t_or_n(capsys):
     rc, out, _ = run_cli(capsys, "simulate", "--help")
     assert rc == 0
@@ -228,7 +220,7 @@ def test_simulate_not_invertible_exit_3_every_variant(capsys, variant):
 # example -----------------------------------------------------------------------
 
 def test_example_text_output(capsys):
-    rc, out, _ = run_cli(capsys, "example", "--trials", "300", "--seed", "9")
+    rc, out, _ = run_cli(capsys, "example", "--seed", "9")
     assert rc == 0
     assert "exact success probability: 0.25" in out
     assert "marginal of qudit 1: 0.25 0.25 0.25 0.25" in out
@@ -236,34 +228,17 @@ def test_example_text_output(capsys):
 
 
 def test_example_structured_matches_library(capsys):
-    rc, out, _ = run_cli(
-        capsys, "example", "--trials", "250", "--seed", "11", "--format", "structured"
-    )
+    rc, out, _ = run_cli(capsys, "example", "--seed", "11", "--format", "structured")
     assert rc == 0
     doc = json.loads(out)
-    assert doc == reproduce_example_d4(trials=250, seed=11).to_dict()
+    assert doc == reproduce_example_d4(seed=11).to_dict()
     assert json.loads(json.dumps(doc)) == doc
 
 
 def test_example_deterministic_bytes(capsys):
-    _, out1, _ = run_cli(capsys, "example", "--trials", "200", "--seed", "4")
-    _, out2, _ = run_cli(capsys, "example", "--trials", "200", "--seed", "4")
+    _, out1, _ = run_cli(capsys, "example", "--seed", "4")
+    _, out2, _ = run_cli(capsys, "example", "--seed", "4")
     assert out1 == out2
-
-
-def test_example_custom_split(capsys):
-    # every split of the accumulated phase gives the same example, so the split is fixed
-    rc, out, err = run_cli(capsys, "example", "--trials", "100", "--s-vector", "1,1,1")
-    assert rc == 2
-    assert out == ""
-    assert "unrecognized arguments: --s-vector 1,1,1" in err
-
-
-def test_example_rejects_bad_split(capsys):
-    rc, out, err = run_cli(capsys, "example", "--trials", "100", "--s-vector", "1,1,0")
-    assert rc == 2
-    assert out == ""
-    assert "unrecognized arguments: --s-vector 1,1,0" in err
 
 
 def test_example_reproduction_failure_exit_4(capsys, monkeypatch):
@@ -271,7 +246,7 @@ def test_example_reproduction_failure_exit_4(capsys, monkeypatch):
         raise ReproductionError("forced mismatch")
 
     monkeypatch.setattr(cli, "reproduce_example_d4", boom)
-    rc, _, err = run_cli(capsys, "example", "--trials", "10")
+    rc, _, err = run_cli(capsys, "example")
     assert rc == 4
     assert "reproduction failed" in err
 
@@ -339,7 +314,7 @@ MISUSE = {
                           "threshold t=3 exceeds agent count n=2"),
     "simulate-negative-seed": (["simulate", "--d", "4", "--s-vector", "3,0,0", "--seed", "-1"],
                                "seed must be an integer >= 0"),
-    "example-negative-seed": (["example", "--trials", "10", "--seed", "-1"],
+    "example-negative-seed": (["example", "--seed", "-1"],
                               "seed must be an integer >= 0"),
 }
 
@@ -364,25 +339,59 @@ def test_missing_required_flag_exit_2(capsys):
     assert run_cli(capsys, "shares", "--d", "5")[0] == 2
 
 
-def test_shares_takes_no_seed_exit_2(capsys):
+SHARES = ["shares", "--d", "5", "--secret-coeffs", "3,2", "--xs", "1,2"]
+SIMULATE = ["simulate", "--d", "4", "--s-vector", "3,0,0"]
+
+# case -> (a valid command line, the flag it does not take)
+REFUSED = {
+    # t is the secret source's length and n that of --xs, so neither is a flag
+    "simulate-t": (SIMULATE, ["--t", "3"]),
+    "simulate-n": (SIMULATE, ["--n", "4"]),
     # shares draws nothing, so it has no seed flag; it reads its params as simulate does,
     # but takes no --s-vector
-    for flag in (["--seed", "1"], ["--seed", "random"], ["--s-vector", "3"]):
-        rc, out, err = run_cli(capsys, "shares", "--d", "5", "--secret-coeffs", "3,2", "--xs", "1,2",
-                               *flag)
-        assert rc == 2
-        assert out == ""
-        assert f"unrecognized arguments: {' '.join(flag)}" in err
-
-
-def test_sweep_takes_no_grid_flags_exit_2(capsys):
+    "shares-seed": (SHARES, ["--seed", "1"]),
+    "shares-seed-random": (SHARES, ["--seed", "random"]),
+    "shares-s-vector": (SHARES, ["--s-vector", "3"]),
     # the sweep table is fixed and exhaustive: no sub-grid, no sampled split, no single variant
-    for flag in (["--d-max", "4"], ["--t-max", "3"], ["--seed", "1"], ["--seed", "random"],
-                 ["--variant", "repaired"]):
-        rc, out, err = run_cli(capsys, "sweep", *flag)
-        assert rc == 2
-        assert out == ""
-        assert f"unrecognized arguments: {' '.join(flag)}" in err
+    "sweep-d-max": (["sweep"], ["--d-max", "4"]),
+    "sweep-t-max": (["sweep"], ["--t-max", "3"]),
+    "sweep-seed": (["sweep"], ["--seed", "1"]),
+    "sweep-seed-random": (["sweep"], ["--seed", "random"]),
+    "sweep-variant": (["sweep"], ["--variant", "repaired"]),
+    # every split of the accumulated phase gives the same example, so the split is fixed,
+    # and so is its Monte-Carlo trial count
+    "example-s-vector": (["example"], ["--s-vector", "1,1,1"]),
+    "example-bad-s-vector": (["example"], ["--s-vector", "1,1,0"]),
+    "example-trials": (["example"], ["--trials", "10"]),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_flag_exit_2(capsys, case):
+    argv, flag = REFUSED[case]
+    rc, out, err = run_cli(capsys, *argv, *flag)
+    assert rc == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+# every flag of every command; a new knob shows here as a one-line diff
+FLAGS = {
+    "shares": ["--d", "--secret-coeffs", "--xs", "--format", "--out"],
+    "simulate": ["--variant", "--d", "--s-vector", "--secret-coeffs", "--xs", "--format", "--out",
+                 "--seed"],
+    "example": ["--format", "--out", "--seed"],
+    "sweep": ["--format", "--out"],
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    commands = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [flag for action in p._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")]
+             for name, p in commands.choices.items()}
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 18
 
 
 def test_malformed_int_list_exit_2(capsys):
@@ -418,15 +427,13 @@ def test_python_m_entry_point(capsys):
 def test_out_writes_only_configured_path(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     target = tmp_path / "report.json"
-    rc, out, _ = run_cli(
-        capsys, "example", "--trials", "120", "--seed", "2",
-        "--format", "structured", "--out", str(target),
-    )
+    rc, out, _ = run_cli(capsys, "example", "--seed", "2", "--format", "structured",
+                         "--out", str(target))
     assert rc == 0
     assert out == ""  # nothing on stdout when --out is set
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
     doc = json.loads(target.read_text(encoding="utf-8"))
-    assert doc == reproduce_example_d4(trials=120, seed=2).to_dict()
+    assert doc == reproduce_example_d4(seed=2).to_dict()
 
 
 @pytest.mark.parametrize("where", ["missing-parent", "directory"])
@@ -452,7 +459,7 @@ def test_random_seed_flag_varies_outcomes(capsys):
 
 DRAWING = {
     "simulate": ["simulate", "--d", "4", "--s-vector", "3,0,0"],
-    "example": ["example", "--trials", "50"],
+    "example": ["example"],
 }
 
 

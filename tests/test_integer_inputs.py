@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quditshare.analysis import success_probability_mc
-from quditshare.modmath import Share, SharePolynomial, eval_poly, lagrange_term, mod_inverse
+from quditshare.modmath import Share, SharePolynomial, eval_poly, gen_shares, lagrange_term, mod_inverse
 from quditshare.protocol import ProtocolParams, run_repaired_all_measure
 from quditshare.qudit_sim import LocalUnitary, apply_local, make_ghz, phase_gate
 
@@ -22,6 +22,8 @@ CASES = {
     "eval-poly-point": (lambda: eval_poly(SharePolynomial(5, (3, 2)), 2.0), "evaluation point"),
     "lagrange-share-value": (lambda: lagrange_term([Share(1, 2.0)], 1, 5), "share value"),
     "lagrange-index": (lambda: lagrange_term(SHARES, 1.0, 5), "participant index"),
+    # a float zero is refused as a non-integer, not as the reserved abscissa 0
+    "abscissa-float-zero": (lambda: gen_shares(SharePolynomial(5, (3, 2)), [0.0, 1]), "abscissa"),
     "ghz-d": (lambda: make_ghz(3.0, 2), "local dimension"),
     "ghz-d-text": (lambda: make_ghz("3", 2), "local dimension"),
     "gate-d": (lambda: LocalUnitary(2.0, np.eye(2)), "local dimension"),

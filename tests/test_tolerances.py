@@ -89,7 +89,7 @@ def test_reference_check_refuses_a_non_finite_closed_form(monkeypatch, capsys, w
                             ((BAD[bad], *columns[0][1:]), *columns[1:]))
     with pytest.raises(ReproductionError, match=f"^{which} state deviates .* is {bad}, "):
         verify_reference_states()
-    assert cli.main(["example", "--trials", "10"]) == cli.EXIT_REPRODUCTION
+    assert cli.main(["example"]) == cli.EXIT_REPRODUCTION
     assert "reference reproduction failed" in capsys.readouterr().err
 
 
