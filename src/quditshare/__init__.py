@@ -68,4 +68,4 @@ from .qudit_sim import (
     qft_inv,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

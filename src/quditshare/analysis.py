@@ -30,6 +30,7 @@ from .qudit_sim import (
 )
 
 MC_CHUNK = 1 << 16  # Monte-Carlo trials drawn at once; bounds memory for any trial count
+MC_Z = 1.959963984540054  # standard normal quantile of 0.975: a 95% Wilson score interval
 
 # Built-in reference example: d=4, t=3, secret 3, w = exp(2*pi*i/4) = i. Every split
 # of the phase 3 mod 4 encodes the same state, so REF_PARAMS, built once, stands for all.
@@ -52,12 +53,12 @@ _REF_TRANSFORMED_COLUMNS = (
 
 
 def published(x: float) -> float:
-    """A computed probability at the 12 significant digits the text output prints.
+    """x as every output publishes it: 0.0 below PRUNE_TOL (so no -0.0), else 12 significant digits.
 
-    Structured output publishes it so, so its bytes do not rest on how a
-    Fourier transform rounds the last bits.
+    The text prints this value and the CLI maps every structured float through
+    it, so no published byte rests on how numpy's exp or FFT rounds the last bits.
     """
-    return float(f"{x:.12g}")
+    return 0.0 if abs(x) < PRUNE_TOL else float(f"{x:.12g}")
 
 
 class ReproductionError(AssertionError):
@@ -68,9 +69,9 @@ class ReproductionError(AssertionError):
 class AmplitudeTable:
     """Nonzero amplitudes of a register, ordered by basis index.
 
-    Rows are (label, re, im) with raw float values; rendering rounds to 12
-    significant digits and snaps sub-PRUNE_TOL components to zero for a clean
-    +-i style display. norm_check is the squared-modulus sum of listed rows.
+    Rows are (label, re, im) at full precision, as to_dict returns them; text
+    and structured output show each component as published() gives it, a clean
+    +-i display. norm_check is the squared-modulus sum of listed rows.
     """
 
     d: int
@@ -84,7 +85,7 @@ class AmplitudeTable:
     def to_text_rows(self) -> list[str]:
         width = max(len(label) for label, _, _ in self.rows)
         return [
-            f"  {label:<{width}}  {_fmt_complex(re, im)}"
+            f"  {label:<{width}}  {published(re):+.12g}{published(im):+.12g}i"
             for label, re, im in self.rows
         ]
 
@@ -95,16 +96,6 @@ class AmplitudeTable:
             "rows": [[label, re, im] for label, re, im in self.rows],
             "norm_check": self.norm_check,
         }
-
-
-def _fmt_component(x: float) -> str:
-    if abs(x) < PRUNE_TOL:
-        x = 0.0
-    return f"{x + 0.0:+.12g}"  # +0.0 normalizes a negative zero
-
-
-def _fmt_complex(re: float, im: float) -> str:
-    return f"{_fmt_component(re)}{_fmt_component(im)}i"
 
 
 def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
@@ -140,13 +131,30 @@ def repaired_success_probability_exact(params: ProtocolParams) -> float:
     return float(VARIANTS[REPAIRED].distribution(params).probs[params.expected_secret])
 
 
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval (lo, hi) of hits in trials (Wilson, JASA 22, 209, 1927).
+
+    Its ends are the roots of (n + z^2) p^2 - (2h + z^2) p + h^2/n = 0. The lower
+    root is their product over the upper one, which has no cancellation, and hi
+    is 1 minus the misses' lower root. So lo == 0.0 exactly when no trial hits,
+    hi == 1.0 exactly when every trial hits, and 0 <= lo <= hits/trials <= hi <= 1.
+    """
+    q = MC_Z * MC_Z
+
+    def lower(h: int) -> float:
+        upper = (2 * h + q + MC_Z * math.sqrt(q + 4 * h * (trials - h) / trials)) / (2 * (trials + q))
+        return h * h / (trials * (trials + q) * upper)
+
+    return lower(hits), 1.0 - lower(trials - hits)
+
+
 def success_probability_mc(
     params: ProtocolParams,
     trials: int,
     seed: int = DEFAULT_SEED,
     variant: str = SONG_ORIGINAL,
-) -> tuple[float, float]:
-    """Sampled success fraction and its binomial standard error.
+) -> tuple[float, tuple[float, float]]:
+    """Sampled success fraction and its 95% Wilson score interval (lo, hi).
 
     The variant's final-outcome law is built once; each trial is one uniform
     of a single default_rng(seed) stream, inverted on that law and drawn
@@ -162,9 +170,7 @@ def success_probability_mc(
     for start in range(0, trials, MC_CHUNK):
         outcomes = inverse_cdf(law, rng.random(min(MC_CHUNK, trials - start)))
         hits += int(np.count_nonzero(outcomes == params.expected_secret))
-    estimate = hits / trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return estimate, stderr
+    return hits / trials, wilson_interval(hits, trials)
 
 
 def verify_reference_states() -> tuple[QuditRegister, QuditRegister]:
@@ -202,7 +208,7 @@ class ExampleReport:
     marginal: tuple[float, ...]
     mc_seed: int
     mc_estimate: float
-    mc_stderr: float
+    mc_interval: tuple[float, float]
 
     @property
     def exact_p(self) -> float:
@@ -218,13 +224,13 @@ class ExampleReport:
             "params": {"d": REF_D, "t": REF_T, "secret": REF_SECRET, "s_split": list(REF_PARAMS.s_vector)},
             "encoded_table": self.encoded_table.to_dict(),
             "transformed_table": self.transformed_table.to_dict(),
-            "marginal": [published(p) for p in self.marginal],
-            "exact_p": published(self.exact_p),
+            "marginal": list(self.marginal),
+            "exact_p": self.exact_p,
             "mc": {
                 "trials": REF_TRIALS,
                 "seed": self.mc_seed,
                 "estimate": self.mc_estimate,
-                "stderr": self.mc_stderr,
+                "interval95": list(self.mc_interval),
             },
             "verdict": self.verdict,
         }
@@ -242,8 +248,8 @@ class ExampleReport:
             "",
             "marginal of qudit 1: " + " ".join(f"{p:.12g}" for p in self.marginal),
             f"exact success probability: {self.exact_p:.12g}",
-            f"monte carlo: trials={REF_TRIALS} seed={self.mc_seed} "
-            f"estimate={self.mc_estimate:.12g} stderr={self.mc_stderr:.12g}",
+            f"monte carlo: trials={REF_TRIALS} seed={self.mc_seed} estimate={self.mc_estimate:.12g} "
+            f"interval95=[{self.mc_interval[0]:.12g}, {self.mc_interval[1]:.12g}]",
             f"verdict: {self.verdict}",
         ]
         return "\n".join(lines) + "\n"
@@ -257,12 +263,12 @@ def reproduce_example_d4(seed: int = DEFAULT_SEED) -> ExampleReport:
     the song-original variant's law, and a seeded REF_TRIALS-trial Monte Carlo.
     """
     encoded, transformed = verify_reference_states()
-    estimate, stderr = success_probability_mc(REF_PARAMS, REF_TRIALS, seed)
+    estimate, interval = success_probability_mc(REF_PARAMS, REF_TRIALS, seed)
     return ExampleReport(
         encoded_table=amplitude_table(encoded),
         transformed_table=amplitude_table(transformed),
         marginal=tuple(float(p) for p in VARIANTS[SONG_ORIGINAL].distribution(REF_PARAMS).probs),
         mc_seed=seed,
         mc_estimate=estimate,
-        mc_stderr=stderr,
+        mc_interval=interval,
     )

@@ -104,8 +104,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _published(doc):
+    """doc with every float as published() gives it; ints, strings and the shape stay."""
+    if isinstance(doc, dict):
+        return {key: _published(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_published(value) for value in doc]
+    return published(doc) if isinstance(doc, float) else doc
+
+
 def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
-    payload = json.dumps(doc, indent=2) + "\n" if args.fmt == "structured" else text
+    payload = json.dumps(_published(doc), indent=2) + "\n" if args.fmt == "structured" else text
     if args.out is None:
         sys.stdout.write(payload)
         return
@@ -165,22 +174,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     entries = []
     grid = itertools.product(VARIANTS.values(), range(2, SWEEP_D_MAX + 1), range(1, SWEEP_T_MAX + 1))
     for flow, d, t in grid:
+        # A lone measurer on an entangled register sees a uniform outcome;
+        # every other flow returns the secret with certainty. The other outcomes
+        # share what the secret's closed-form p leaves.
+        closed_p = 1.0 / d if not flow.all_measure and not flow.product and t >= 2 else 1.0
         p = []
         for secret in range(d):
             params = ProtocolParams(d=d, t=t, s_vector=(secret,) + (0,) * (t - 1))
             dist = flow.distribution(params).probs
-            # A lone measurer on an entangled register sees a uniform outcome;
-            # every other flow returns the secret with certainty.
-            if not flow.all_measure and len(flow.terms(params)) >= 2:
-                expected = np.full(d, 1.0 / d)
-            else:
-                expected = np.eye(d)[secret]
+            expected = np.full(d, (1.0 - closed_p) / (d - 1))
+            expected[secret] = closed_p
             _check_tol(np.max(np.abs(dist - expected)), SWEEP_TOL,
                        f"{flow.name} d={d} t={t} S={secret}: outcome distribution {dist.tolist()!r} "
                        "deviates from expected: max|error|", ReproductionError)
-            p.append(published(dist[secret]))
+            p.append(dist[secret])
         entries.append({"variant": flow.name, "d": d, "t": t, "min_p": min(p), "max_p": max(p),
-                        "expected": float(expected[secret])})
+                        "expected": closed_p})
     lines = ["every secret S in Z_d as the split (S, 0, ..., 0); a law depends on the terms "
              "only through their sum mod d, so this covers every term vector",
              f"{'variant':<22}  d  t  {'min_p':<14}  {'max_p':<14}  expected"]

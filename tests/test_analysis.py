@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from quditshare import protocol
 from quditshare.analysis import (
     MC_CHUNK,
+    MC_Z,
     REF_PARAMS,
     REF_SECRET,
     REF_TRIALS,
@@ -25,6 +27,7 @@ from quditshare.analysis import (
     success_probability_exact,
     success_probability_mc,
     verify_reference_states,
+    wilson_interval,
 )
 from quditshare.modmath import MAX_MODULUS
 from quditshare.protocol import (
@@ -208,9 +211,9 @@ def test_every_variant_past_the_old_cap():
 # Monte Carlo ------------------------------------------------------------------
 
 def test_mc_within_four_stderr_of_exact():
-    estimate, stderr = success_probability_mc(d4_params(), trials=2000, seed=42)
-    assert stderr == pytest.approx(np.sqrt(estimate * (1 - estimate) / 2000), abs=1e-15)
-    assert abs(estimate - 0.25) < 4 * max(stderr, 1e-3)
+    estimate, interval = success_probability_mc(d4_params(), trials=2000, seed=42)
+    assert interval == wilson_interval(round(estimate * 2000), 2000)
+    assert abs(estimate - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 2000)  # sigma from the exact p
 
 
 def test_mc_reproducible_and_order_independent_per_seed():
@@ -222,11 +225,40 @@ def test_mc_reproducible_and_order_independent_per_seed():
 
 
 def test_mc_single_agent_is_exact():
-    estimate, stderr = success_probability_mc(
+    estimate, (lo, hi) = success_probability_mc(
         ProtocolParams(d=5, t=1, s_vector=(2,)), trials=50, seed=1
     )
     assert estimate == 1.0
-    assert stderr == 0.0
+    assert hi == 1.0 and lo < 1.0
+
+
+def _textbook_wilson(hits, trials):
+    p, q = hits / trials, MC_Z * MC_Z
+    centre = (p + q / (2 * trials)) / (1 + q / trials)
+    half = MC_Z / (1 + q / trials) * math.sqrt(p * (1 - p) / trials + q / (4 * trials * trials))
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("trials", [1, 10, 250, 2000, 9999, 10_000])
+def test_wilson_interval_ends_are_exact(trials):
+    # the textbook centre +- half-width gives hi = 0.9999999999999998 and lo = 8.7e-19 at 250 trials
+    for hits in range(trials + 1):
+        lo, hi = wilson_interval(hits, trials)
+        assert 0.0 <= lo <= hits / trials <= hi <= 1.0
+        assert (lo == 0.0) == (hits == 0) and (hi == 1.0) == (hits == trials)
+        assert (lo, hi) == pytest.approx(_textbook_wilson(hits, trials), abs=1e-15)
+    estimate, (lo, hi) = success_probability_mc(ProtocolParams(d=5, t=1, s_vector=(2,)), trials, seed=1)
+    assert (estimate, hi) == (1.0, 1.0) and 0.0 < lo < 1.0
+
+
+@pytest.mark.parametrize(("d", "trials"), [(4, 400), (7, 250)])
+def test_mc_interval_covers_the_exact_p(d, trials):
+    # Seeds 0..999, each one estimate of p = 1/d. The interval's exact binomial coverage is
+    # 0.943 (d=4, 400 trials) and 0.954 (d=7, 250 trials), and the covered share of 1,000
+    # independent estimates has a standard deviation below 0.0074: 0.91 is over 4 of them below.
+    params = ProtocolParams(d=d, t=3, s_vector=(1, 0, 0))
+    intervals = [success_probability_mc(params, trials, seed)[1] for seed in range(1000)]
+    assert sum(lo <= 1 / d <= hi for lo, hi in intervals) / 1000 >= 0.91
 
 
 def test_mc_repaired_variant_is_exact():
@@ -302,6 +334,21 @@ def test_mc_validates_arguments():
         success_probability_mc(d4_params(), trials=10, variant="nope")
 
 
+# publication rule ----------------------------------------------------------------
+
+def test_published_snaps_dust_to_a_positive_zero():
+    for dust in (-9.184850993605148e-17, 6.123233995736766e-17, -PRUNE_TOL / 2, -0.0):
+        assert math.copysign(1.0, published(dust)) == 1.0 and published(dust) == 0.0
+    assert published(PRUNE_TOL) == PRUNE_TOL
+
+
+@pytest.mark.parametrize("x", [1 / 3, -2 / 3, 0.1 + 0.2, 0.2442, 1e-5 / 3, 2 / 7 * 1e6, 0.9999999999999998])
+def test_published_keeps_twelve_digits_as_the_text_prints(x):
+    assert published(x) == float(f"{x:.12g}") == published(published(x))
+    assert f"{published(x):.12g}" == f"{x:.12g}"
+    assert published(x) == pytest.approx(x, rel=1e-12)
+
+
 # reference example report --------------------------------------------------------
 
 def test_reference_report_values():
@@ -311,9 +358,9 @@ def test_reference_report_values():
     assert report.marginal == pytest.approx((0.25,) * 4, abs=1e-12)
     assert len(report.encoded_table.rows) == 4
     assert len(report.transformed_table.rows) == 16
-    assert (report.mc_estimate, report.mc_stderr) == success_probability_mc(REF_PARAMS, REF_TRIALS, 7)
+    assert (report.mc_estimate, report.mc_interval) == success_probability_mc(REF_PARAMS, REF_TRIALS, 7)
     assert report.to_dict()["mc"]["trials"] == REF_TRIALS == 10_000
-    assert abs(report.mc_estimate - 0.25) < 4 * max(report.mc_stderr, 1e-3)
+    assert abs(report.mc_estimate - 0.25) < 4 * math.sqrt(0.25 * 0.75 / REF_TRIALS)
     assert "uniform" in report.verdict
 
 
@@ -328,7 +375,7 @@ def test_reference_report_reads_the_registry_law():
 def test_reference_report_keeps_only_what_it_computed():
     assert [f.name for f in dataclasses.fields(ExampleReport)] == [
         "encoded_table", "transformed_table", "marginal",
-        "mc_seed", "mc_estimate", "mc_stderr",
+        "mc_seed", "mc_estimate", "mc_interval",
     ]
     assert REF_PARAMS == d4_params()
 
@@ -359,7 +406,7 @@ def test_reference_report_structured_round_trip():
     assert set(doc) == {
         "params", "encoded_table", "transformed_table", "marginal", "exact_p", "mc", "verdict",
     }
-    assert set(doc["mc"]) == {"trials", "seed", "estimate", "stderr"}
+    assert set(doc["mc"]) == {"trials", "seed", "estimate", "interval95"}
 
 
 def _table_values(table_doc):
@@ -374,7 +421,8 @@ def test_reference_split_invariance():
     base_doc = base.to_dict()
     for s1, s2 in itertools.product(range(4), repeat=2):
         params = ProtocolParams(d=4, t=3, s_vector=(s1, s2, (3 - s1 - s2) % 4))
-        assert [published(p) for p in outcome_marginal(params).probs] == base_doc["marginal"]
+        assert ([published(p) for p in outcome_marginal(params).probs]
+                == [published(p) for p in base_doc["marginal"]])
         encoded = post_encoding_state(params)
         for table, key in ((amplitude_table(encoded), "encoded_table"),
                            (amplitude_table(apply_local(encoded, 1, qft_inv(4))), "transformed_table")):

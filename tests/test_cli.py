@@ -12,7 +12,7 @@ import pytest
 
 import quditshare
 from quditshare import cli, protocol
-from quditshare.analysis import ReproductionError, reproduce_example_d4
+from quditshare.analysis import ReproductionError, published, reproduce_example_d4
 from quditshare.cli import main
 from quditshare.protocol import VARIANTS
 
@@ -231,8 +231,24 @@ def test_example_structured_matches_library(capsys):
     rc, out, _ = run_cli(capsys, "example", "--seed", "11", "--format", "structured")
     assert rc == 0
     doc = json.loads(out)
-    assert doc == reproduce_example_d4(seed=11).to_dict()
+    assert doc == cli._published(reproduce_example_d4(seed=11).to_dict())
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_example_structured_publishes_the_numbers_its_text_prints(capsys):
+    _, text, _ = run_cli(capsys, "example")
+    _, out, _ = run_cli(capsys, "example", "--format", "structured")
+    doc = json.loads(out)
+    rows = [line.split() for line in text.splitlines() if re.fullmatch(r"  \d{3}  \S+i", line)]
+    assert len(rows) == 4 + 16
+    assert [(label, complex(value.replace("i", "j"))) for label, value in rows] == [
+        (label, complex(re_, im)) for key in ("encoded_table", "transformed_table")
+        for label, re_, im in doc[key]["rows"]
+    ]
+    marginal = re.search(r"^marginal of qudit 1: (.*)$", text, re.M).group(1).split()
+    assert [float(p) for p in marginal] == doc["marginal"]
+    mc = re.search(r"estimate=(\S+) interval95=\[(\S+), (\S+)\]", text)
+    assert [float(x) for x in mc.groups()] == [doc["mc"]["estimate"], *doc["mc"]["interval95"]]
 
 
 def test_example_deterministic_bytes(capsys):
@@ -269,7 +285,7 @@ def test_sweep_song_original(capsys):
             expected = 1.0 if e["t"] == 1 else 1.0 / e["d"]
             assert e["min_p"] == pytest.approx(expected, abs=1e-10)
             assert e["max_p"] == pytest.approx(expected, abs=1e-10)
-            assert e["expected"] == pytest.approx(expected, abs=1e-15)
+            assert e["expected"] == published(expected)
 
 
 def test_sweep_repaired_all_ones(capsys):
@@ -433,7 +449,7 @@ def test_out_writes_only_configured_path(capsys, tmp_path, monkeypatch):
     assert out == ""  # nothing on stdout when --out is set
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
     doc = json.loads(target.read_text(encoding="utf-8"))
-    assert doc == reproduce_example_d4(seed=2).to_dict()
+    assert doc == cli._published(reproduce_example_d4(seed=2).to_dict())
 
 
 @pytest.mark.parametrize("where", ["missing-parent", "directory"])

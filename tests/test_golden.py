@@ -41,6 +41,17 @@ prefix file example-above-monte-carlo, example at 10 trials cut at its
 Monte-Carlo line, went: its bytes were those of example.txt up to that line,
 so example already pinned all it pinned. No output byte moved.
 
+At 0.5.0 one rule publishes every float: the CLI maps each float of a
+structured document through analysis.published, which gives 0.0 below
+PRUNE_TOL (so never -0.0) and 12 significant digits otherwise, the value the
+text prints. example-structured's amplitude tables lost their exp and FFT
+dust (each ~1e-17 component is now 0.0), and sweep-structured's expected
+went from 1/d at full precision to 12 digits, as its min_p and max_p
+already were. The Monte Carlo reports the 95% Wilson score interval in place
+of the binomial stderr, which was 0 whenever every trial hit or none did, so
+example's monte carlo: line and example-structured's "mc" moved too. Those
+three files moved; the other seven, sweep included, kept their bytes.
+
 Each output is also stored as tests/golden/<name>.txt (.json for structured
 output) and compared byte for byte, so a mismatch shows as a unified diff; the
 hash stays as a second check, and each file must hash to its pin.
@@ -48,10 +59,12 @@ hash stays as a second check, and each file must hash to its pin.
 
 import difflib
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from quditshare.analysis import published
 from quditshare.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -80,7 +93,7 @@ GOLDEN = {
     ),
     "sweep-structured": (
         ["sweep", "--format", "structured"],
-        "4dbd6546718862bd8c4ea547cfe53f9970d339e916d5333cd012cb9742d61e8e",
+        "6fbbe351220231a295334996ff72161b5e2e69df1497077cdd56b59a2edf7b41",
     ),
     # 0.2.0 stream; the repaired transcripts are 0.3.0's
     "simulate-repaired-polynomial": (
@@ -89,11 +102,11 @@ GOLDEN = {
     ),
     "example": (
         ["example"],
-        "73459dd5784d77af3c13c33d2e6316212978d74336c1bfb02478d70702217d5e",
+        "9afb3350e7bbb2a8578a498a70cc48324d754588ab4c724448fb602d9075a9c5",
     ),
     "example-structured": (
         ["example", "--format", "structured"],
-        "da24a0a5dd58ff3eb4143792b2d1c56343029545fabf61b57356a77619c2a9c5",
+        "f9d7ed0437064a6b97e1c043fc7fe4b7227999930947ad9fe739d2e500c0abde",
     ),
     "simulate-repaired-structured": (
         ["simulate", "--variant", "repaired", "--d", "4", "--s-vector", "3,0,0", "--format", "structured"],
@@ -126,3 +139,15 @@ def test_output_bytes_unchanged(capsys, name):
         )
         pytest.fail("output differs from its golden file:\n" + "".join(diff), pytrace=False)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, _ in GOLDEN.values() if "structured" in argv),
+    [*GOLDEN["shares"][0], "--format", "structured"],
+], ids=lambda argv: " ".join(argv))
+def test_structured_output_publishes_every_float(capsys, argv):
+    # one rule for every float in every document: no dust, no -0.0, 12 significant digits
+    assert main(argv) == 0
+    floats = []
+    json.loads(capsys.readouterr().out, parse_float=lambda text: floats.append(float(text)) or floats[-1])
+    assert [x for x in floats if repr(x) != repr(published(x))] == []  # repr tells -0.0 from 0.0
