@@ -23,7 +23,6 @@ from .qudit_sim import (
     QuditRegister,
     _check_tol,
     apply_local,
-    basis_digits,
     basis_label,
     inverse_cdf,
     qft_inv,
@@ -99,16 +98,24 @@ class AmplitudeTable:
 
 
 def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
-    """Tabulate every amplitude of modulus >= PRUNE_TOL, in basis order."""
+    """Tabulate every amplitude of modulus >= PRUNE_TOL, in basis order.
+
+    One scan of the register's float64 view finds the candidates, the entries
+    with a nonzero real or imaginary part, which include every kept row; only
+    they are tested against PRUNE_TOL, so no |amps| array is built. norm_check
+    sums the kept rows' scalar moduli in basis order, since a vectorised sum
+    can move its bits by an ulp.
+    """
+    # float position 2i or 2i+1 is a part of entry i
+    cand = np.unique(np.flatnonzero(reg.amps.view(np.float64) != 0) >> 1)
     rows = []
     total = 0.0
-    # Visit only the kept rows; summing their scalar moduli in basis order keeps
-    # norm_check's bits, which a vectorised sum can move by an ulp.
-    for i in np.flatnonzero(np.abs(reg.amps) >= PRUNE_TOL):
-        a = reg.amps[i]
+    digit_rows = np.column_stack(np.unravel_index(cand, (reg.d,) * reg.t)).tolist()
+    for a, digits in zip(reg.amps[cand], digit_rows):
         mag = abs(a)
-        rows.append((basis_label(basis_digits(int(i), reg.d, reg.t), reg.d), float(a.real), float(a.imag)))
-        total += mag * mag
+        if mag >= PRUNE_TOL:
+            rows.append((basis_label(digits, reg.d), float(a.real), float(a.imag)))
+            total += mag * mag
     return AmplitudeTable(d=reg.d, t=reg.t, rows=tuple(rows), norm_check=total)
 
 

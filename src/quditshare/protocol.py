@@ -191,10 +191,10 @@ class ProtocolParams:
             raise ValueError(f"threshold t={self.t} exceeds agent count n={self.n}")
 
     def share_terms(self) -> tuple[int, ...]:
-        """The encoded term per participating agent (first t of n)."""
+        """The encoded term per participating agent, the first t of n; only their shares are evaluated."""
         if self.s_vector is not None:
             return self.s_vector
-        return lagrange_terms(gen_shares(self.polynomial, self.abscissae)[: self.t], self.d)
+        return lagrange_terms(gen_shares(self.polynomial, self.abscissae[: self.t]), self.d)
 
     @property
     def expected_secret(self) -> int:

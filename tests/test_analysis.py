@@ -52,6 +52,8 @@ from quditshare.qudit_sim import (
     qft_inv,
 )
 
+from register_checks import traced_peak
+
 
 def d4_params():
     return ProtocolParams(d=4, t=3, s_vector=(3, 0, 0))
@@ -123,9 +125,16 @@ def _sparse_register(draw):
     scales = st.sampled_from([0.0, 1e-14, 5e-13, 1.0])
     mags = draw(st.lists(scales, min_size=d**t, max_size=d**t))
     mags[draw(st.integers(0, d**t - 1))] = 1.0
-    phases = draw(st.lists(st.floats(0, 2 * np.pi), min_size=d**t, max_size=d**t))
-    amps = np.array(mags) * np.exp(1j * np.array(phases))
-    return QuditRegister(d, t, amps / np.linalg.norm(amps))
+    # purely real and purely imaginary units leave an exact zero component
+    units = st.one_of(st.floats(0, 2 * np.pi).map(lambda phase: complex(np.exp(1j * phase))),
+                      st.sampled_from([1, -1, 1j, -1j]))
+    amps = np.array(mags) * np.array(draw(st.lists(units, min_size=d**t, max_size=d**t)), dtype=np.complex128)
+    parts = (amps / np.linalg.norm(amps)).view(np.float64)
+    # a zero component may instead be -0.0 or subnormal: the entries the
+    # candidate scan could miss or wrongly keep
+    fills = st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+    parts = np.where(parts == 0, draw(st.lists(fills, min_size=parts.size, max_size=parts.size)), parts)
+    return QuditRegister(d, t, parts.view(np.complex128))
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,6 +144,13 @@ def test_amplitude_table_matches_plain_loop(reg):
     table = amplitude_table(reg)
     assert table.rows == rows
     assert repr(table.norm_check) == repr(total)
+
+
+def test_amplitude_table_builds_no_register_sized_temporary():
+    encoded = post_encoding_state(ProtocolParams(8, 6, s_vector=(3, 1, 4, 1, 5, 2)))
+    reg = apply_local(encoded, 1, qft_inv(8))
+    assert len(amplitude_table(reg).rows) == 8 * 8
+    assert traced_peak(amplitude_table, reg) <= 0.25 * reg.amps.nbytes
 
 
 def test_amplitude_table_dict_round_trip():

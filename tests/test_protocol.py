@@ -11,8 +11,15 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quditshare import cli, protocol
-from quditshare.modmath import DuplicateAbscissa, NotInvertible, SharePolynomial
+from quditshare import cli, modmath, protocol
+from quditshare.modmath import (
+    MAX_MODULUS,
+    DuplicateAbscissa,
+    NotInvertible,
+    SharePolynomial,
+    gen_shares,
+    lagrange_terms,
+)
 from quditshare.protocol import (
     PRODUCT_COUNTERFACTUAL,
     REPAIRED,
@@ -121,6 +128,39 @@ def test_share_terms_large_polynomial_sum_to_the_secret():
     xs = tuple(int(x) for x in rng.choice(np.arange(1, d), size=t + 100, replace=False))
     params = ProtocolParams(d, t, polynomial=SharePolynomial(d, coeffs), abscissae=xs)
     assert sum(params.share_terms()) % d == coeffs[0]
+
+
+@st.composite
+def _polynomial_params(draw):
+    """A polynomial-path ProtocolParams with more agents than the threshold, n > t."""
+    d = draw(st.integers(3, 40))
+    n = draw(st.integers(2, d - 1))
+    t = draw(st.integers(1, n - 1))
+    coeffs = tuple(draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t)))
+    xs = tuple(draw(st.lists(st.integers(1, d - 1), min_size=n, max_size=n, unique=True)))
+    return ProtocolParams(d, t, polynomial=SharePolynomial(d, coeffs), abscissae=xs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(params=_polynomial_params())
+@example(params=ProtocolParams(MAX_MODULUS, 2, polynomial=SharePolynomial(MAX_MODULUS, (5, 3)),
+                               abscissae=tuple(range(1, MAX_MODULUS))))
+def test_share_terms_evaluate_only_the_participants_shares(params):
+    try:
+        expected = lagrange_terms(gen_shares(params.polynomial, params.abscissae)[: params.t], params.d)
+    except NotInvertible as exc:
+        expected = exc
+    calls = []
+    eval_poly = modmath.eval_poly
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modmath, "eval_poly", lambda *args: calls.append(args[1]) or eval_poly(*args))
+        try:
+            terms = params.share_terms()
+        except NotInvertible as exc:
+            terms = exc
+    assert calls == list(params.abscissae[: params.t])
+    # equal terms, or a NotInvertible naming the same difference
+    assert repr(terms) == repr(expected)
 
 
 def test_expected_secret_direct_path():
