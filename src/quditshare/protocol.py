@@ -57,8 +57,6 @@ from .qudit_sim import (
     apply_local,
     inverse_cdf,
     make_ghz,
-    marginal,
-    qft_inv,
 )
 
 SONG_ORIGINAL = "song-original"
@@ -247,7 +245,8 @@ class Variant:
     def distribution(self, params: ProtocolParams) -> MarginalDistribution:
         """Exact distribution of the final outcome over Z_d, from the branch amplitudes c.
 
-        Fourier-inverting every qudit, or a lone one (t = 1), gives |F^-1 c|^2. A
+        Fourier-inverting every qudit, or a lone one (t = 1), gives |F^-1 c|^2,
+        read straight from c as numpy's orthonormal FFT, qft_inv's transform. A
         lone measurer entangled with t-1 others sees the branches dephased:
         every outcome has probability sum_k |c_k|^2 / d.
         """
@@ -257,7 +256,7 @@ class Variant:
         """distribution() of the terms that terms() has already resolved."""
         branch = branch_register(d, terms)
         if self.all_measure or len(terms) == 1:
-            return marginal(apply_local(branch, 1, qft_inv(d)), 1)
+            return MarginalDistribution(np.abs(np.fft.fft(branch.amps, norm="ortho")) ** 2)
         return MarginalDistribution(np.full(d, np.vdot(branch.amps, branch.amps).real / d))
 
     def run(self, params: ProtocolParams, seed: int = DEFAULT_SEED) -> Transcript:

@@ -5,11 +5,13 @@ as the MOST significant digit, I = k_1*d^(t-1) + ... + k_t. All reduced
 statistics (marginal, measure, joint_distribution) follow this convention.
 Every seeded draw, measure's included, is inverse_cdf on a one-qudit law.
 
-Gates act on one axis of the (d,)*t amplitude array by their structure: a
-phase gate (DiagonalGate) as a broadcast multiply, the inverse Fourier gate
-(FourierGate) as an orthonormal FFT, and a user LocalUnitary by tensordot
-after an O(d^3) unitarity check. Every gate's .m is its dense d x d matrix,
-built on demand for tests and the dense oracle.
+A gate on qudit q acts by its structure on the register's fibres, the lines
+along the middle axis of its (d^(q-1), d, rest) view: a phase gate
+(DiagonalGate) as a broadcast multiply, the inverse Fourier gate
+(FourierGate) as an orthonormal FFT of the occupied fibres alone (d of
+d^(t-1) in a GHZ-branch state sum_k c_k |k...k>), and a user LocalUnitary by
+a batched matmul after an O(d^3) unitarity check. Every gate's .m is its
+dense d x d matrix, built on demand for tests and the dense oracle.
 
 Only code that allocates d^t amplitudes checks the size cap (_check_size):
 _on_diagonal (behind make_ghz and protocol.post_encoding_state),
@@ -157,10 +159,9 @@ class LocalUnitary:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
-        """m applied along one axis of the (d,)*t amplitude array."""
-        out = np.tensordot(self.m, psi, axes=([1], [axis]))  # contracted axis lands in front
-        return np.moveaxis(out, 0, axis)
+    def act(self, psi: np.ndarray) -> np.ndarray:
+        """m applied along the middle axis of the (d^(q-1), d, rest) view."""
+        return self.m @ psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +189,17 @@ class DiagonalGate:
         _check_size(self.d, 2)
         return np.diag(self.phases)
 
-    def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
-        return psi * self.phases.reshape((-1,) + (1,) * (psi.ndim - 1 - axis))
+    def act(self, psi: np.ndarray) -> np.ndarray:
+        return psi * self.phases[:, None]
 
 
 @dataclass(frozen=True)
 class FourierGate:
     """The inverse Fourier transform on one qudit, entry (j, k) = w^(-j*k) / sqrt(d).
 
-    Applied as numpy's orthonormal forward FFT along the qudit's axis. Unitary
-    by construction, so it holds no entries to check.
+    Applied as numpy's orthonormal forward FFT of the occupied fibres alone:
+    an all-zero fibre transforms to zeros, which the output already holds.
+    Unitary by construction, so it holds no entries to check.
     """
 
     d: int
@@ -209,8 +211,11 @@ class FourierGate:
         jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
         return np.exp(-2j * np.pi * jk / self.d) / np.sqrt(self.d)
 
-    def act(self, psi: np.ndarray, axis: int) -> np.ndarray:
-        return np.fft.fft(psi, axis=axis, norm="ortho")
+    def act(self, psi: np.ndarray) -> np.ndarray:
+        a, b = np.nonzero(psi.any(axis=1))
+        out = np.zeros(psi.shape, dtype=np.complex128)  # calloc-backed: untouched pages stay unwritten
+        out[a, :, b] = np.fft.fft(psi[a, :, b], axis=1, norm="ortho")
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +282,7 @@ def apply_local(
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
     q = _check_qudit_index(q, reg.t)
-    out = u.act(reg.amps.reshape((reg.d,) * reg.t), q - 1)
+    out = u.act(reg.amps.reshape(reg.d ** (q - 1), reg.d, -1))
     out.setflags(write=False)  # adopted when act made a fresh C-ordered array, copied otherwise
     return QuditRegister(reg.d, reg.t, out)
 

@@ -1,8 +1,12 @@
-"""Checks on registers shared by the test modules: entrywise closeness and traced allocation."""
+"""Checks on registers shared by the test modules: entrywise closeness, traced allocation
+and a strategy of sparse registers."""
 
 import tracemalloc
 
 import numpy as np
+from hypothesis import strategies as st
+
+from quditshare.qudit_sim import QuditRegister
 
 
 def assert_registers_close(reg, other, tol):
@@ -22,3 +26,32 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return peak
+
+
+@st.composite
+def sparse_registers(draw):
+    """A register of d <= 14 and t <= 3 whose few nonzero amplitudes sit at drawn positions.
+
+    d and t come first and the support is a small dict, so a failing case
+    shrinks in seconds. Magnitudes straddle PRUNE_TOL, purely real and purely
+    imaginary units leave an exact zero component, and a few zero components
+    are -0.0 or subnormal instead: the entries a scan could miss or wrongly keep.
+    """
+    d = draw(st.integers(2, 14))
+    t = draw(st.integers(1, 3))
+    positions = st.integers(0, d**t - 1)
+    units = st.one_of(st.floats(0, 2 * np.pi).map(lambda phase: complex(np.exp(1j * phase))),
+                      st.sampled_from([1, -1, 1j, -1j]))
+    entries = draw(st.dictionaries(positions, st.tuples(st.sampled_from([1e-14, 5e-13, 1.0]), units),
+                                   max_size=12))
+    entries[draw(positions)] = (1.0, draw(units))
+    amps = np.zeros(d**t, dtype=np.complex128)
+    for i, (mag, unit) in entries.items():
+        amps[i] = mag * unit
+    parts = (amps / np.linalg.norm(amps)).view(np.float64)
+    fills = draw(st.dictionaries(st.integers(0, parts.size - 1), st.sampled_from([-0.0, 5e-324, -5e-324]),
+                                 max_size=12))
+    for i, fill in fills.items():
+        if parts[i] == 0:
+            parts[i] = fill
+    return QuditRegister(d, t, parts.view(np.complex128))

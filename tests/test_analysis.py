@@ -41,7 +41,6 @@ from quditshare.protocol import (
 from quditshare.qudit_sim import (
     DEFAULT_SIZE_CAP,
     PRUNE_TOL,
-    QuditRegister,
     SizeCapExceeded,
     apply_local,
     basis_digits,
@@ -52,7 +51,7 @@ from quditshare.qudit_sim import (
     qft_inv,
 )
 
-from register_checks import traced_peak
+from register_checks import sparse_registers, traced_peak
 
 
 def d4_params():
@@ -118,27 +117,8 @@ def _loop_amplitude_table(reg):
     return tuple(rows), total
 
 
-@st.composite
-def _sparse_register(draw):
-    d = draw(st.integers(2, 14))
-    t = draw(st.integers(1, 3))
-    scales = st.sampled_from([0.0, 1e-14, 5e-13, 1.0])
-    mags = draw(st.lists(scales, min_size=d**t, max_size=d**t))
-    mags[draw(st.integers(0, d**t - 1))] = 1.0
-    # purely real and purely imaginary units leave an exact zero component
-    units = st.one_of(st.floats(0, 2 * np.pi).map(lambda phase: complex(np.exp(1j * phase))),
-                      st.sampled_from([1, -1, 1j, -1j]))
-    amps = np.array(mags) * np.array(draw(st.lists(units, min_size=d**t, max_size=d**t)), dtype=np.complex128)
-    parts = (amps / np.linalg.norm(amps)).view(np.float64)
-    # a zero component may instead be -0.0 or subnormal: the entries the
-    # candidate scan could miss or wrongly keep
-    fills = st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
-    parts = np.where(parts == 0, draw(st.lists(fills, min_size=parts.size, max_size=parts.size)), parts)
-    return QuditRegister(d, t, parts.view(np.complex128))
-
-
 @settings(max_examples=60, deadline=None)
-@given(reg=_sparse_register())
+@given(reg=sparse_registers())
 def test_amplitude_table_matches_plain_loop(reg):
     rows, total = _loop_amplitude_table(reg)
     table = amplitude_table(reg)

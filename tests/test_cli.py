@@ -199,7 +199,7 @@ def test_out_of_memory_exit_2(capsys, monkeypatch):
     def no_memory(*args):
         raise MemoryError("Unable to allocate 64.0 GiB")
 
-    for name in ("make_ghz", "DiagonalGate", "qft_inv"):
+    for name in ("make_ghz", "DiagonalGate"):
         monkeypatch.setattr(protocol, name, no_memory)
     rc, out, err = run_cli(capsys, "simulate", "--d", "65536", "--s-vector", "1,2")
     assert rc == 2
