@@ -8,8 +8,11 @@ Commands:
 
 --seed (simulate, example) random draws a seed from OS entropy; as --seed N it replays the run.
 
+Each handler returns its output as (text, doc); main alone writes it to stdout, the doc as
+one JSON document under --format structured.
+
 Exit codes: 0 success (a "no" verdict is still success), 2 invalid usage or configuration
-(including an unwritable --out path and a machine out of memory), 3 modular division
+(including a stdout that cannot be written and a machine out of memory), 3 modular division
 impossible (non-invertible denominator), 4 reference-reproduction assertion failure.
 """
 
@@ -21,7 +24,6 @@ import json
 import secrets
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -55,12 +57,6 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer or 'random', got {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", dest="fmt", choices=("text", "structured"), default="text",
-                   help="plain text or a single JSON document (default: text)")
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditshare",
@@ -75,7 +71,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="polynomial coefficients a_0,a_1,... (a_0 is the secret)")
     shares.add_argument("--xs", type=_int_list, required=True,
                         help="abscissae x_1,...,x_n (distinct, nonzero)")
-    _add_common(shares)
 
     sim = sub.add_parser("simulate", help="run one protocol variant")
     sim.set_defaults(handler=cmd_simulate)
@@ -86,17 +81,17 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--secret-coeffs", type=_int_list, default=None, dest="coeffs",
                      help="polynomial coefficients (requires --xs)")
     sim.add_argument("--xs", type=_int_list, default=None, help="abscissae for the polynomial path")
-    _add_common(sim)
 
     example = sub.add_parser("example", help="reproduce the built-in d=4 reference example")
     example.set_defaults(handler=cmd_example)
-    _add_common(example)
 
     sweep = sub.add_parser(
         "sweep", help=f"every variant and secret over d = 2..{SWEEP_D_MAX}, t = 1..{SWEEP_T_MAX}")
     sweep.set_defaults(handler=cmd_sweep)
-    _add_common(sweep)
 
+    for p in (shares, sim, example, sweep):
+        p.add_argument("--format", dest="fmt", choices=("text", "structured"), default="text",
+                       help="plain text or a single JSON document (default: text)")
     for p in (sim, example):  # the commands that draw; shares and sweep draw nothing
         p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                        help=f"RNG seed, or 'random' for one from OS entropy (default: {DEFAULT_SEED})")
@@ -113,17 +108,6 @@ def _published(doc):
     return published(doc) if isinstance(doc, float) else doc
 
 
-def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
-    payload = json.dumps(_published(doc), indent=2) + "\n" if args.fmt == "structured" else text
-    if args.out is None:
-        sys.stdout.write(payload)
-        return
-    try:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-
-
 def _params(args: argparse.Namespace) -> ProtocolParams:
     """The flags as ProtocolParams, which checks them.
 
@@ -135,7 +119,7 @@ def _params(args: argparse.Namespace) -> ProtocolParams:
                           abscissae=args.xs, s_vector=args.s_vector)
 
 
-def cmd_shares(args: argparse.Namespace) -> int:
+def cmd_shares(args: argparse.Namespace) -> tuple[str, dict]:
     params = _params(args)
     shares = gen_shares(params.polynomial, params.abscissae)
     terms = list(lagrange_terms(shares[: params.t], args.d))
@@ -152,25 +136,22 @@ def cmd_shares(args: argparse.Namespace) -> int:
         "terms": terms,
         "sum": total,
     }
-    _emit(args, "\n".join(lines) + "\n", doc)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", doc
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     transcript = VARIANTS[args.variant].run(_params(args), args.seed)
     verdict = "yes" if transcript.final_outcome == transcript.expected_secret else "no"
     text = transcript.to_text() + f"outcome == secret: {verdict}\n"
-    _emit(args, text, {"transcript": transcript.to_dict(), "verdict": verdict})
-    return EXIT_OK
+    return text, {"transcript": transcript.to_dict(), "verdict": verdict}
 
 
-def cmd_example(args: argparse.Namespace) -> int:
+def cmd_example(args: argparse.Namespace) -> tuple[str, dict]:
     report = reproduce_example_d4(seed=args.seed)
-    _emit(args, report.to_text(), report.to_dict())
-    return EXIT_OK
+    return report.to_text(), report.to_dict()
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, dict]:
     entries = []
     grid = itertools.product(VARIANTS.values(), range(2, SWEEP_D_MAX + 1), range(1, SWEEP_T_MAX + 1))
     for flow, d, t in grid:
@@ -198,8 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{e['expected']:.12g}" for e in entries
     )
     lines.append("all entries match expected: yes")
-    _emit(args, "\n".join(lines) + "\n", {"entries": entries})
-    return EXIT_OK
+    return "\n".join(lines) + "\n", {"entries": entries}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -208,19 +188,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        text, doc = args.handler(args)
+        sys.stdout.write(json.dumps(_published(doc), indent=2) + "\n" if args.fmt == "structured" else text)
+        sys.stdout.flush()
+    except OSError as exc:  # only the write and flush above raise it
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NotInvertible as exc:
         print(f"error: modular division impossible: {exc}", file=sys.stderr)
         return EXIT_NOT_INVERTIBLE
     except ReproductionError as exc:
         print(f"error: reference reproduction failed: {exc}", file=sys.stderr)
         return EXIT_REPRODUCTION
-    except ValueError as exc:  # an unwritable --out path and every other input check
+    except ValueError as exc:  # every input check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

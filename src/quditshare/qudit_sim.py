@@ -300,12 +300,13 @@ def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:
 def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     """Index of probs drawn by each uniform in u, by inverting the CDF.
 
-    Scaling by the CDF's top keeps every draw in [0, 1) off branches of zero
-    probability, even when rounding leaves the top just below 1. A draw past
+    An entry below PRUNE_TOL, such as the dust an FFT leaves, gets no CDF width,
+    and scaling by the CDF's top keeps every draw in [0, 1), 0.0 included, off
+    those branches, even when rounding leaves the top just below 1. A draw past
     the top is clamped onto the last branch, and refused if that branch is empty.
     A table holding a NaN, an infinite or a negative entry is refused.
     """
-    cumsum = np.cumsum(probs)
+    cumsum = np.cumsum(np.where(np.abs(probs) < PRUNE_TOL, 0.0, probs))
     if not np.isfinite(cumsum[-1]):
         raise ValueError(f"probabilities must be finite, got a total of {float(cumsum[-1])!r}")
     _check_tol(-probs.min(), NORM_TOL, "probabilities must lie in [0, 1]: -min(probs)")

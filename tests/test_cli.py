@@ -1,6 +1,7 @@
-"""CLI: exit codes, output formats, verdicts, file emission."""
+"""CLI: exit codes, output formats, verdicts, the one write to stdout."""
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditshare
@@ -106,6 +108,30 @@ def test_simulate_song_original_exit_zero_either_way(capsys):
         yes += "outcome == secret: yes" in out
     # exact success probability is 0.25; allow ~4 sigma around 50 of 200
     assert 25 <= yes <= 75
+
+
+def test_simulate_uniform_zero_recovers_the_secret(capsys, monkeypatch):
+    # Generator.random() may return 0.0; the repaired law's FFT dust on the outcomes below
+    # the secret must not catch that draw
+    default_rng = np.random.default_rng
+
+    class ZeroUniform:
+        """default_rng(seed), except that its uniform is 0.0."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self):
+            return 0.0
+
+        def integers(self, *args):
+            return self.rng.integers(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroUniform)
+    rc, out, err = run_cli(capsys, "simulate", "--variant", "repaired", "--d", "4",
+                           "--s-vector", "3,0,0")
+    assert (rc, err) == (0, "")
+    assert out.rstrip().endswith("outcome == secret: yes")
 
 
 def test_simulate_polynomial_path(capsys):
@@ -379,6 +405,11 @@ REFUSED = {
     "example-s-vector": (["example"], ["--s-vector", "1,1,1"]),
     "example-bad-s-vector": (["example"], ["--s-vector", "1,1,0"]),
     "example-trials": (["example"], ["--trials", "10"]),
+    # stdout is the one output path; a shell redirect picks the destination
+    "shares-out": (SHARES, ["--out", "x"]),
+    "simulate-out": (SIMULATE, ["--out", "x"]),
+    "example-out": (["example"], ["--out", "x"]),
+    "sweep-out": (["sweep"], ["--out", "x"]),
 }
 
 
@@ -393,11 +424,10 @@ def test_refused_flag_exit_2(capsys, case):
 
 # every flag of every command; a new knob shows here as a one-line diff
 FLAGS = {
-    "shares": ["--d", "--secret-coeffs", "--xs", "--format", "--out"],
-    "simulate": ["--variant", "--d", "--s-vector", "--secret-coeffs", "--xs", "--format", "--out",
-                 "--seed"],
-    "example": ["--format", "--out", "--seed"],
-    "sweep": ["--format", "--out"],
+    "shares": ["--d", "--secret-coeffs", "--xs", "--format"],
+    "simulate": ["--variant", "--d", "--s-vector", "--secret-coeffs", "--xs", "--format", "--seed"],
+    "example": ["--format", "--seed"],
+    "sweep": ["--format"],
 }
 
 
@@ -407,7 +437,7 @@ def test_each_command_takes_exactly_its_flags():
                     if flag not in ("-h", "--help")]
              for name, p in commands.choices.items()}
     assert flags == FLAGS
-    assert sum(map(len, flags.values())) == 18
+    assert sum(map(len, flags.values())) == 14
 
 
 def test_malformed_int_list_exit_2(capsys):
@@ -423,14 +453,15 @@ def test_malformed_int_list_exit_2(capsys):
         assert "expected comma-separated integers" in err
 
 
-def test_python_m_entry_point(capsys):
+def run_module(*argv, stdout=subprocess.PIPE):
+    """python -m quditshare in a new interpreter, with this package first on its path."""
     src = str(Path(quditshare.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "quditshare", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
-    def run_module(*argv):
-        return subprocess.run([sys.executable, "-m", "quditshare", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
 
+def test_python_m_entry_point(capsys):
     failed = run_module("shares", "--d", "4", "--secret-coeffs", "3,2", "--xs", "1,3")
     assert failed.returncode == 3
     assert "2 is not invertible mod 4" in failed.stderr
@@ -440,26 +471,53 @@ def test_python_m_entry_point(capsys):
     assert ok.stdout == run_cli(capsys, *argv)[1]
 
 
-def test_out_writes_only_configured_path(capsys, tmp_path, monkeypatch):
+# one valid command line per command
+COMMANDS = {"shares": SHARES, "simulate": SIMULATE, "example": ["example"], "sweep": ["sweep"]}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_writes_nothing_but_stdout(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
-    target = tmp_path / "report.json"
-    rc, out, _ = run_cli(capsys, "example", "--seed", "2", "--format", "structured",
-                         "--out", str(target))
-    assert rc == 0
-    assert out == ""  # nothing on stdout when --out is set
-    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
-    doc = json.loads(target.read_text(encoding="utf-8"))
-    assert doc == cli._published(reproduce_example_d4(seed=2).to_dict())
+    rc, out, err = run_cli(capsys, *COMMANDS[command])
+    assert (rc, err) == (0, "")
+    assert out
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("where", ["missing-parent", "directory"])
-def test_out_unwritable_exit_2(capsys, tmp_path, where):
-    target = tmp_path / "missing" / "report.txt" if where == "missing-parent" else tmp_path
-    rc, out, err = run_cli(capsys, "shares", "--d", "5", "--secret-coeffs", "3,2", "--xs", "1,2",
-                           "--out", str(target))
+class FullStdout:
+    """Stub stdout whose write or flush fails as a full disk does."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        self._fail("write")
+        return len(text)
+
+    def flush(self):
+        self._fail("flush")
+
+    def _fail(self, call):
+        if call == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_unwritable_stdout_exit_2(capsys, monkeypatch, command, failing):
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+    rc, _, err = run_cli(capsys, *COMMANDS[command])
     assert rc == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot write {target}: ")
+    assert err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_device_stdout_exit_2_without_traceback():
+    # the interpreter's own exit-time flush must find nothing left to write
+    with open("/dev/full", "w") as full:
+        run = run_module("sweep", stdout=full)
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"]
 
 
 def test_random_seed_flag_varies_outcomes(capsys):

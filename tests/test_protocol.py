@@ -34,6 +34,7 @@ from quditshare.protocol import (
     run_song_original,
 )
 from quditshare.qudit_sim import (
+    PRUNE_TOL,
     LocalUnitary,
     MarginalDistribution,
     QuditRegister,
@@ -541,6 +542,16 @@ def test_draw_uniform_past_one_raises(variant):
     law = _law_of(VARIANTS[variant], QuditRegister(2, 2, np.array([1.0, 0.0, 0.0, 0.0])))
     with pytest.raises(ZeroNormProjection):
         inverse_cdf(law, ConstantRng(1.0).random(1))
+
+
+def test_draw_uniform_zero_lands_on_a_supported_branch():
+    # the FFT leaves dust on the outcomes below the secret; a draw of 0.0 must pass over it
+    for flow, d, t in itertools.product(VARIANTS.values(), range(2, cli.SWEEP_D_MAX + 1),
+                                        range(1, cli.SWEEP_T_MAX + 1)):
+        for secret in range(d):
+            law = flow.distribution(ProtocolParams(d=d, t=t, s_vector=(secret,) + (0,) * (t - 1))).probs
+            outcome = inverse_cdf(law, ConstantRng(0.0).random(1))
+            assert law[outcome] >= PRUNE_TOL, (flow.name, d, t, secret)
 
 
 # post-encoding state ----------------------------------------------------------------
