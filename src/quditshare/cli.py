@@ -28,7 +28,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .analysis import ReproductionError, published, reproduce_example_d4
-from .modmath import NotInvertible, SharePolynomial, gen_shares, lagrange_terms
+from .modmath import NotInvertible, SharePolynomial, gen_shares
 from .protocol import DEFAULT_SEED, SONG_ORIGINAL, VARIANTS, ProtocolParams
 from .qudit_sim import _check_tol
 
@@ -122,7 +122,7 @@ def _params(args: argparse.Namespace) -> ProtocolParams:
 def cmd_shares(args: argparse.Namespace) -> tuple[str, dict]:
     params = _params(args)
     shares = gen_shares(params.polynomial, params.abscissae)
-    terms = list(lagrange_terms(shares[: params.t], args.d))
+    terms = list(params.share_terms())
     total = sum(terms) % args.d
     lines = [f"d={args.d} t={params.t} n={params.n}"]
     lines.extend(f"share: x={sh.x} y={sh.y}" for sh in shares)

@@ -76,6 +76,21 @@ def test_shares_requires_enough_abscissae(capsys):
     assert "error:" in err
 
 
+def test_shares_and_simulate_take_the_same_agents(capsys):
+    # 3 - 1 = 2 is not a unit mod 4, but agent 3 is past t = 2 and takes no part
+    poly = ["--d", "4", "--secret-coeffs", "3,2", "--xs", "1,2,3"]
+    rc, out, _ = run_cli(capsys, "shares", *poly)
+    assert rc == 0
+    assert "term s_1 = 2" in out
+    assert "term s_2 = 1" in out
+    rc, out, _ = run_cli(capsys, "simulate", "--variant", "repaired", *poly)
+    assert rc == 0
+    assert "agent 1 applies U(0,2) on qudit 1" in out
+    assert "agent 2 applies U(0,1) on qudit 2" in out
+    assert "expected secret: 3" in out
+    assert out.rstrip().endswith("outcome == secret: yes")
+
+
 # simulate ----------------------------------------------------------------------
 
 def test_simulate_counterfactual_verdict_yes(capsys):
@@ -453,12 +468,30 @@ def test_malformed_int_list_exit_2(capsys):
         assert "expected comma-separated integers" in err
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
-    """python -m quditshare in a new interpreter, with this package first on its path."""
+def run_python(*argv, stdout=subprocess.PIPE):
+    """python with argv in a new interpreter, with this package first on its path."""
     src = str(Path(quditshare.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "quditshare", *argv], stdout=stdout,
+    return subprocess.run([sys.executable, *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    """python -m quditshare, run as run_python runs it."""
+    return run_python("-m", "quditshare", *argv, stdout=stdout)
+
+
+def test_import_binds_only_the_version():
+    probe = run_python("-c", (
+        "import json, sys, quditshare; print(json.dumps(["
+        "sorted(vars(quditshare)), 'numpy' in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('quditshare.'))]))"))
+    assert probe.returncode == 0, probe.stderr
+    names, numpy_loaded, submodules = json.loads(probe.stdout)
+    assert "__version__" in names
+    assert [n for n in names if not (n.startswith("__") and n.endswith("__"))] == []
+    assert not numpy_loaded
+    assert submodules == []
 
 
 def test_python_m_entry_point(capsys):
