@@ -100,18 +100,16 @@ class AmplitudeTable:
 def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
     """Tabulate every amplitude of modulus >= PRUNE_TOL, in basis order.
 
-    One scan of the register's float64 view finds the candidates, the entries
-    with a nonzero real or imaginary part, which include every kept row; only
-    they are tested against PRUNE_TOL, so no |amps| array is built. norm_check
-    sums the kept rows' scalar moduli in basis order, since a vectorised sum
-    can move its bits by an ulp.
+    The candidates are the register's support, the sorted indices outside
+    which every amplitude is exactly 0, so every kept row is among them and
+    no other amplitude is read; only they are tested against PRUNE_TOL.
+    norm_check sums the kept rows' scalar moduli in basis order, since a
+    vectorised sum can move its bits by an ulp.
     """
-    # float position 2i or 2i+1 is a part of entry i
-    cand = np.unique(np.flatnonzero(reg.amps.view(np.float64) != 0) >> 1)
     rows = []
     total = 0.0
-    digit_rows = np.column_stack(np.unravel_index(cand, (reg.d,) * reg.t)).tolist()
-    for a, digits in zip(reg.amps[cand], digit_rows):
+    digit_rows = np.column_stack(np.unravel_index(reg.support, (reg.d,) * reg.t)).tolist()
+    for a, digits in zip(reg.amps[reg.support], digit_rows):
         mag = abs(a)
         if mag >= PRUNE_TOL:
             rows.append((basis_label(digits, reg.d), float(a.real), float(a.imag)))

@@ -13,6 +13,11 @@ d^(t-1) in a GHZ-branch state sum_k c_k |k...k>), and a user LocalUnitary by
 a batched matmul after an O(d^3) unitarity check. Every gate's .m is its
 dense d x d matrix, built on demand for tests and the dense oracle.
 
+Every register carries its support, the sorted flat indices outside which
+every amplitude is exactly 0. The engine hands it on (_on_diagonal, phase and
+Fourier gates); a register built from an array without one scans for it, once.
+The norm check, the Fourier gate and analysis.amplitude_table read it alone.
+
 Only code that allocates d^t amplitudes checks the size cap (_check_size):
 _on_diagonal (behind make_ghz and protocol.post_encoding_state),
 QuditRegister and every gate's .m. _on_diagonal is the one place that knows
@@ -29,7 +34,7 @@ alone, which NaN and inf fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -122,13 +127,19 @@ class QuditRegister:
     ndarray and no array it views is writable: such an array is taken as
     handed over. Any other input, a read-only view of a writable base included,
     is copied once, so no one can write through a register's memory.
+
+    support, the sorted flat indices outside which every amplitude is exactly 0,
+    comes from the engine through the private _support, or else from one linear
+    scan for entries with a nonzero or NaN part; the norm check sums over it.
     """
 
     d: int
     t: int
     amps: np.ndarray
+    support: np.ndarray = field(init=False, repr=False)
+    _support: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, support):
         _check_size(self.d, self.t)
         amps = self.amps
         if not _adoptable(amps):
@@ -137,8 +148,14 @@ class QuditRegister:
         amps = amps.reshape(-1)
         if amps.size != self.d**self.t:
             raise ValueError(f"expected {self.d ** self.t} amplitudes, got {amps.size}")
-        _check_tol(abs(np.vdot(amps, amps).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
+        if support is None:  # an array from outside: one linear scan, NaN and inf included
+            parts = amps.view(np.float64).reshape(-1, 2)
+            support = np.flatnonzero((parts[:, 0] != 0) | (parts[:, 1] != 0))
+        support.setflags(write=False)
+        held = amps if support.size == amps.size else amps[support]
+        _check_tol(abs(np.vdot(held, held).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
         object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "support", support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +176,9 @@ class LocalUnitary:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    def act(self, psi: np.ndarray) -> np.ndarray:
-        """m applied along the middle axis of the (d^(q-1), d, rest) view."""
-        return self.m @ psi
+    def act(self, psi: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, None]:
+        """m applied along the middle axis of the (d^(q-1), d, rest) view; the register scans it."""
+        return self.m @ psi, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,17 +206,19 @@ class DiagonalGate:
         _check_size(self.d, 2)
         return np.diag(self.phases)
 
-    def act(self, psi: np.ndarray) -> np.ndarray:
-        return psi * self.phases[:, None]
+    def act(self, psi: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A phase keeps every zero amplitude exactly 0, so the support is unchanged."""
+        return psi * self.phases[:, None], support
 
 
 @dataclass(frozen=True)
 class FourierGate:
     """The inverse Fourier transform on one qudit, entry (j, k) = w^(-j*k) / sqrt(d).
 
-    Applied as numpy's orthonormal forward FFT of the occupied fibres alone:
-    an all-zero fibre transforms to zeros, which the output already holds.
-    Unitary by construction, so it holds no entries to check.
+    Applied as numpy's orthonormal forward FFT of the fibres the input's support
+    meets alone: an all-zero fibre transforms to zeros, which the output already
+    holds, and the occupied fibres' entries are the output's support. Unitary by
+    construction, so it holds no entries to check.
     """
 
     d: int
@@ -211,11 +230,16 @@ class FourierGate:
         jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
         return np.exp(-2j * np.pi * jk / self.d) / np.sqrt(self.d)
 
-    def act(self, psi: np.ndarray) -> np.ndarray:
-        a, b = np.nonzero(psi.any(axis=1))
+    def act(self, psi: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, d, rest = psi.shape
+        # fibre (a, b) holds the flat indices a*d*rest + j*rest + b. Its ids a*rest + b, taken
+        # from a sorted support, and the output's indices, row by row in j, come in ascending
+        # runs, which a stable sort merges in O(n log d) even when the support is dense
+        ids = np.sort(support // (d * rest) * rest + support % rest, kind="stable")
+        a, b = np.divmod(ids[np.diff(ids, prepend=-1) != 0], rest)
         out = np.zeros(psi.shape, dtype=np.complex128)  # calloc-backed: untouched pages stay unwritten
         out[a, :, b] = np.fft.fft(psi[a, :, b], axis=1, norm="ortho")
-        return out
+        return out, np.sort((a * d * rest + b + rest * np.arange(d)[:, None]).ravel(), kind="stable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +271,11 @@ class JointDistribution:
 def _on_diagonal(d: int, t: int, c: complex | np.ndarray) -> QuditRegister:
     """The register sum_k c_k |k...k> of t qudits; a scalar c is every c_k."""
     _check_size(d, t)
+    step = (d**t - 1) // (d - 1)  # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
     amps = np.zeros(d**t, dtype=np.complex128)
-    amps[:: (d**t - 1) // (d - 1)] = c  # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
+    amps[::step] = c
     amps.setflags(write=False)
-    return QuditRegister(d, t, amps)
+    return QuditRegister(d, t, amps, _support=np.arange(0, d**t, step))
 
 
 def make_ghz(d: int, t: int) -> QuditRegister:
@@ -282,9 +307,9 @@ def apply_local(
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
     q = _check_qudit_index(q, reg.t)
-    out = u.act(reg.amps.reshape(reg.d ** (q - 1), reg.d, -1))
+    out, support = u.act(reg.amps.reshape(reg.d ** (q - 1), reg.d, -1), reg.support)
     out.setflags(write=False)  # adopted when act made a fresh C-ordered array, copied otherwise
-    return QuditRegister(reg.d, reg.t, out)
+    return QuditRegister(reg.d, reg.t, out, _support=support)
 
 
 def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:

@@ -1,5 +1,5 @@
-"""Checks on registers shared by the test modules: entrywise closeness, traced allocation
-and a strategy of sparse registers."""
+"""Checks on registers shared by the test modules: entrywise closeness, an exact support,
+traced allocation and a strategy of sparse registers."""
 
 import tracemalloc
 
@@ -9,8 +9,21 @@ from hypothesis import strategies as st
 from quditshare.qudit_sim import QuditRegister
 
 
+def assert_support_exact(reg):
+    """Assert reg.support is sorted, unique, within [0, d^t) and read-only, and that every
+    amplitude outside it is exactly 0."""
+    support = reg.support
+    assert not support.flags.writeable, "the support is writable"
+    assert np.all(np.diff(support) > 0), "the support is not sorted and unique"
+    assert 0 <= support[0] <= support[-1] < reg.d**reg.t, "the support leaves [0, d^t)"
+    assert np.count_nonzero(np.delete(reg.amps, support)) == 0, "a nonzero amplitude lies outside the support"
+
+
 def assert_registers_close(reg, other, tol):
-    """Assert equal d and t and amplitudes within tol entrywise, with no global-phase slack."""
+    """Assert exact supports, equal d and t and amplitudes within tol entrywise, with no
+    global-phase slack."""
+    assert_support_exact(reg)
+    assert_support_exact(other)
     assert (reg.d, reg.t) == (other.d, other.t), f"shapes differ: {(reg.d, reg.t)} != {(other.d, other.t)}"
     gap = float(np.max(np.abs(reg.amps - other.amps)))
     assert gap <= tol, f"amplitudes differ by {gap!r}, beyond {tol!r}"

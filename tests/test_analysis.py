@@ -133,6 +133,13 @@ def test_amplitude_table_builds_no_register_sized_temporary():
     assert traced_peak(amplitude_table, reg) <= 0.25 * reg.amps.nbytes
 
 
+def test_amplitude_table_reads_only_the_support():
+    # the 64 candidates come from the register's support, so no temporary scales with d^t
+    encoded = post_encoding_state(ProtocolParams(8, 6, s_vector=(3, 1, 4, 1, 5, 2)))
+    reg = apply_local(encoded, 1, qft_inv(8))
+    assert traced_peak(amplitude_table, reg) <= 0.01 * reg.amps.nbytes
+
+
 def test_amplitude_table_dict_round_trip():
     table = amplitude_table(make_ghz(2, 2))
     doc = table.to_dict()

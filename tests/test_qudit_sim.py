@@ -1,5 +1,6 @@
 """State-vector engine: pinned amplitudes, independent oracles, and properties."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditshare.analysis import amplitude_table
 from quditshare.modmath import MAX_MODULUS
 from quditshare.protocol import ProtocolParams, post_encoding_state
 from quditshare.qudit_sim import (
@@ -32,7 +34,7 @@ from quditshare.qudit_sim import (
     qft_inv,
 )
 
-from register_checks import assert_registers_close, sparse_registers, traced_peak
+from register_checks import assert_registers_close, assert_support_exact, sparse_registers, traced_peak
 
 # Reference d=4 example, w = i: branch phases w^(3k) on |kkk>, and the
 # per-branch coefficient rows after the inverse transform on qudit 1.
@@ -584,15 +586,66 @@ def test_engine_registers_are_read_only():
 
 def test_apply_local_adds_no_copy_to_the_gate():
     reg = apply_local(make_ghz(8, 6), 2, phase_gate(8, 3))
-    bare = traced_peak(FourierGate(8).act, reg.amps.reshape(1, 8, -1))
+    bare = traced_peak(FourierGate(8).act, reg.amps.reshape(1, 8, -1), reg.support)
     assert traced_peak(apply_local, reg, 1, qft_inv(8)) - bare <= 0.1 * reg.amps.nbytes
+
+
+# support ------------------------------------------------------------------------
+
+def _engine_registers(d, terms, seed):
+    """Every register the engine builds from one encoding: the GHZ state, the encoding,
+    each gate kind on every qudit, and a measurement of every qudit after a Fourier gate."""
+    t = len(terms)
+    encoded = post_encoding_state(ProtocolParams(d, t, s_vector=terms))
+    regs = [make_ghz(d, t), encoded]
+    for q in range(1, t + 1):
+        for gate in (phase_gate(d, terms[q - 1]), qft_inv(d), random_unitary(d, seed)):
+            regs.append(apply_local(encoded, q, gate))
+        transformed = apply_local(encoded, q, qft_inv(d))
+        regs.append(measure(transformed, q % t + 1, np.random.default_rng(seed))[1])
+    return regs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_engine_supports_are_exact(data):
+    # a register the engine hands its support to acts exactly like its amplitudes handed in
+    t = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(2, 9).filter(lambda d: d**t <= 4096))
+    terms = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t)))
+    for reg in _engine_registers(d, terms, data.draw(st.integers(0, 2**32 - 1))):
+        handed = QuditRegister(d, t, reg.amps)
+        assert_support_exact(reg)
+        assert_support_exact(handed)
+        assert amplitude_table(reg).rows == amplitude_table(handed).rows
+        for q in range(1, t + 1):
+            out, expected = apply_local(reg, q, qft_inv(d)), apply_local(handed, q, qft_inv(d))
+            assert_support_exact(out)
+            assert out.amps.tobytes() == expected.amps.tobytes()
+
+
+def test_handed_in_register_is_scanned_once():
+    # a dense array gets the whole index range; a sparse one exactly its nonzero entries,
+    # with -0.0 and an exact zero part left out and a lone real or imaginary part kept
+    dense = random_register(3, 4, seed=5)
+    assert np.array_equal(dense.support, np.arange(3**4))
+    assert_support_exact(dense)
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[[1, 4, 6]] = [0.6, 0.8j, complex(-0.0, -0.0)]
+    reg = QuditRegister(2, 3, amps)
+    assert reg.support.tolist() == [1, 4]
+    assert_support_exact(reg)
+    # dataclasses.replace hands in new amplitudes, so it scans them rather than keep the old support
+    moved = dataclasses.replace(reg, amps=np.roll(amps, 1))
+    assert moved.support.tolist() == [2, 5]
 
 
 # value validation ----------------------------------------------------------------
 
 def test_register_validation():
-    with pytest.raises(ValueError):
-        QuditRegister(2, 2, np.ones(4))  # unnormalized
+    for unnormalized in (np.ones(4), [1.0, 0.0, 0.0, 1.0]):  # dense, and a support of 2 entries
+        with pytest.raises(ValueError, match="not normalized"):
+            QuditRegister(2, 2, unnormalized)
     with pytest.raises(ValueError):
         QuditRegister(2, 2, np.zeros(3))  # wrong length
     reg = make_ghz(2, 2)
