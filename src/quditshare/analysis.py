@@ -100,19 +100,18 @@ class AmplitudeTable:
 def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
     """Tabulate every amplitude of modulus >= PRUNE_TOL, in basis order.
 
-    The candidates are the register's support, the sorted indices outside
-    which every amplitude is exactly 0, so every kept row is among them and
-    no other amplitude is read; only they are tested against PRUNE_TOL.
+    The candidates are the register's values, its amplitudes on the support,
+    so no other amplitude is read; only they are tested against PRUNE_TOL.
     norm_check sums the kept rows' scalar moduli in basis order, since a
     vectorised sum can move its bits by an ulp.
     """
     rows = []
     total = 0.0
     digit_rows = np.column_stack(np.unravel_index(reg.support, (reg.d,) * reg.t)).tolist()
-    for a, digits in zip(reg.amps[reg.support], digit_rows):
+    for a, digits in zip(reg.values.tolist(), digit_rows):
         mag = abs(a)
         if mag >= PRUNE_TOL:
-            rows.append((basis_label(digits, reg.d), float(a.real), float(a.imag)))
+            rows.append((basis_label(digits, reg.d), a.real, a.imag))
             total += mag * mag
     return AmplitudeTable(d=reg.d, t=reg.t, rows=tuple(rows), norm_check=total)
 

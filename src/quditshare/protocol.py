@@ -221,7 +221,7 @@ def branch_register(d: int, terms: tuple[int, ...]) -> QuditRegister:
 
 def post_encoding_state(params: ProtocolParams) -> QuditRegister:
     """The register after all phase encodings, before any measurement: c scattered onto |k...k>."""
-    return _on_diagonal(params.d, params.t, branch_register(params.d, params.share_terms()).amps)
+    return _on_diagonal(params.d, params.t, branch_register(params.d, params.share_terms()).values)
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,8 @@ class Variant:
         """distribution() of the terms that terms() has already resolved."""
         branch = branch_register(d, terms)
         if self.all_measure or len(terms) == 1:
-            return MarginalDistribution(np.abs(np.fft.fft(branch.amps, norm="ortho")) ** 2)
-        return MarginalDistribution(np.full(d, np.vdot(branch.amps, branch.amps).real / d))
+            return MarginalDistribution(np.abs(np.fft.fft(branch.values, norm="ortho")) ** 2)
+        return MarginalDistribution(np.full(d, np.vdot(branch.values, branch.values).real / d))
 
     def run(self, params: ProtocolParams, seed: int = DEFAULT_SEED) -> Transcript:
         """One run seeded by seed; the final outcome is the measured results' sum mod d.

@@ -1,40 +1,36 @@
-"""Dense state-vector engine for registers of t qudits of equal dimension d.
+"""State-vector engine for registers of t qudits of equal dimension d.
 
 Basis convention: the flat index I encodes digits (k_1, ..., k_t) with qudit 1
 as the MOST significant digit, I = k_1*d^(t-1) + ... + k_t. All reduced
 statistics (marginal, measure, joint_distribution) follow this convention.
 Every seeded draw, measure's included, is inverse_cdf on a one-qudit law.
 
-A gate on qudit q acts by its structure on the register's fibres, the lines
-along the middle axis of its (d^(q-1), d, rest) view: a phase gate
-(DiagonalGate) as a broadcast multiply, the inverse Fourier gate
-(FourierGate) as an orthonormal FFT of the occupied fibres alone (d of
-d^(t-1) in a GHZ-branch state sum_k c_k |k...k>), and a user LocalUnitary by
-a batched matmul after an O(d^3) unitarity check. Every gate's .m is its
-dense d x d matrix, built on demand for tests and the dense oracle.
+Every register holds its support, the sorted flat indices outside which every
+amplitude is exactly 0, and its values, the amplitudes on the support. A gate
+on qudit q acts on the fibres of the (d^(q-1), d, rest) view, its lines along
+the middle axis. _on_diagonal (behind make_ghz and post_encoding_state), the
+phase gate and the inverse Fourier gate (an FFT of the occupied fibres alone)
+map (support, values) to (support, values): a GHZ-branch state sum_k c_k
+|k...k> holds d amplitudes, d^2 once a qudit is inverted, never d^t. Only the
+dense readers (marginal, measure, joint_distribution and a user LocalUnitary,
+a batched matmul after an O(d^3) unitarity check) build the dense vector amps.
 
-Every register carries its support, the sorted flat indices outside which
-every amplitude is exactly 0. The engine hands it on (_on_diagonal, phase and
-Fourier gates); a register built from an array without one scans for it, once.
-The norm check, the Fourier gate and analysis.amplitude_table read it alone.
+The size cap (_check_size) bounds d^t for every register, whether or not its
+dense vector is ever built, and every gate's .m, its dense d x d matrix built
+on demand for tests and the dense oracle. _on_diagonal is the one place that
+knows where |k...k> sits in the flat register.
 
-Only code that allocates d^t amplitudes checks the size cap (_check_size):
-_on_diagonal (behind make_ghz and protocol.post_encoding_state),
-QuditRegister and every gate's .m. _on_diagonal is the one place that knows
-where |k...k> sits in the flat register.
-
-Registers and gates are immutable, so they are safe to share across threads.
-A register adopts a read-only, C-ordered complex array that views no writable
-array, and copies any other input once. The engine marks each array it has just
-made read-only, so every register it returns is written once. Phase exponents
-are reduced mod d before exponentiation, keeping equal roots of unity
+Registers and gates are immutable, so they are safe to share across threads:
+a register copies a handed-in array it may not adopt (see QuditRegister), and
+the engine marks each array it has just made read-only. Phase exponents are
+reduced mod d before exponentiation, keeping equal roots of unity
 bitwise-comparable. Every invariant is compared with its bound by _check_tol
 alone, which NaN and inf fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,8 +96,8 @@ def basis_digits(index: int, d: int, t: int) -> tuple[int, ...]:
 def basis_label(digits: tuple[int, ...], d: int) -> str:
     """Render digits as a compact label: '012' for d <= 10, dot-separated above."""
     if d <= 10:
-        return "".join(str(k) for k in digits)
-    return ".".join(str(k) for k in digits)
+        return "".join(map(str, digits))
+    return ".".join(map(str, digits))
 
 
 def _adoptable(a: object) -> bool:
@@ -119,43 +115,54 @@ def _adoptable(a: object) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QuditRegister:
-    """Normalized pure state of t qudits; amps has length d**t <= DEFAULT_SIZE_CAP and unit norm.
+    """Normalized pure state of t qudits, d**t <= DEFAULT_SIZE_CAP, held as its support and values.
 
-    amps is kept without a copy when it is a read-only, C-ordered complex128
-    ndarray and no array it views is writable: such an array is taken as
-    handed over. Any other input, a read-only view of a writable base included,
-    is copied once, so no one can write through a register's memory.
-
-    support, the sorted flat indices outside which every amplitude is exactly 0,
-    comes from the engine through the private _support, or else from one linear
-    scan for entries with a nonzero or NaN part; the norm check sums over it.
+    support holds the sorted flat indices outside which every amplitude is
+    exactly 0, values the amplitudes on it in support order; both are read-only,
+    and the norm check sums over values. The engine hands both in as _held, with
+    amps None. An array handed in as amps is kept without a copy when it is a
+    read-only, C-ordered complex128 ndarray and no array it views is writable,
+    and copied once otherwise, so no one can write through a register's memory;
+    one linear scan then finds its support, its entries with a nonzero or NaN part.
     """
 
     d: int
     t: int
-    amps: np.ndarray
     support: np.ndarray = field(init=False, repr=False)
-    _support: InitVar[np.ndarray | None] = None
+    values: np.ndarray = field(init=False, repr=False)
+    _dense: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self, support):
-        _check_size(self.d, self.t)
-        amps = self.amps
-        if not _adoptable(amps):
-            amps = np.array(amps, dtype=np.complex128, order="C")
-            amps.setflags(write=False)
-        amps = amps.reshape(-1)
-        if amps.size != self.d**self.t:
-            raise ValueError(f"expected {self.d ** self.t} amplitudes, got {amps.size}")
-        if support is None:  # an array from outside: one linear scan, NaN and inf included
-            parts = amps.view(np.float64).reshape(-1, 2)
+    def __init__(self, d: int, t: int, amps: object, *, _held: tuple[np.ndarray, np.ndarray] | None = None):
+        _check_size(d, t)
+        if amps is None:
+            support, values = _held
+            amps = values if values.size == d**t else None
+        else:
+            if not _adoptable(amps):
+                amps = np.array(amps, dtype=np.complex128, order="C")
+                amps.setflags(write=False)
+            amps = amps.reshape(-1)
+            if amps.size != d**t:
+                raise ValueError(f"expected {d ** t} amplitudes, got {amps.size}")
+            parts = amps.view(np.float64).reshape(-1, 2)  # one linear scan, NaN and inf included
             support = np.flatnonzero((parts[:, 0] != 0) | (parts[:, 1] != 0))
+            values = amps if support.size == amps.size else amps[support]
         support.setflags(write=False)
-        held = amps if support.size == amps.size else amps[support]
-        _check_tol(abs(np.vdot(held, held).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "support", support)
+        values.setflags(write=False)
+        _check_tol(abs(np.vdot(values, values).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
+        self.__dict__.update(d=d, t=t, support=support, values=values, _dense=amps)  # past the frozen __setattr__
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The read-only dense vector: the array handed in, values on a full support, else built per read."""
+        if self._dense is not None:
+            return self._dense
+        amps = np.zeros(self.d**self.t, dtype=np.complex128)
+        amps[self.support] = self.values
+        amps.setflags(write=False)
+        return amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,14 +183,10 @@ class LocalUnitary:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    def act(self, psi: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, None]:
-        """m applied along the middle axis of the (d^(q-1), d, rest) view; the register scans it."""
-        return self.m @ psi, None
-
 
 @dataclass(frozen=True, eq=False)
 class DiagonalGate:
-    """The diagonal unitary diag(phases), applied as a broadcast multiply.
+    """The diagonal unitary diag(phases), applied as one multiply per value on the support.
 
     Its unitarity check is O(d): diag(p) diag(p)^dagger - 1 is diag(|p_k|^2 - 1).
     """
@@ -206,9 +209,13 @@ class DiagonalGate:
         _check_size(self.d, 2)
         return np.diag(self.phases)
 
-    def act(self, psi: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A phase keeps every zero amplitude exactly 0, so the support is unchanged."""
-        return psi * self.phases[:, None], support
+    def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each value times the phase of its qudit's digit; a zero stays exactly 0, so the support stays."""
+        if support[-1] + 1 == support.size and support.size % (self.d * rest) == 0:  # all of range(n): broadcast
+            out = values.reshape(-1, self.d, rest) * self.phases[:, None]
+            out.setflags(write=False)  # the register keeps its flat view
+            return support, out.ravel()
+        return support, values * self.phases[support // rest % self.d]
 
 
 @dataclass(frozen=True)
@@ -216,9 +223,9 @@ class FourierGate:
     """The inverse Fourier transform on one qudit, entry (j, k) = w^(-j*k) / sqrt(d).
 
     Applied as numpy's orthonormal forward FFT of the fibres the input's support
-    meets alone: an all-zero fibre transforms to zeros, which the output already
-    holds, and the occupied fibres' entries are the output's support. Unitary by
-    construction, so it holds no entries to check.
+    meets alone: an all-zero fibre transforms to zeros, so the occupied fibres'
+    entries are the output's support and their transforms its values. Unitary
+    by construction, so it holds no entries to check.
     """
 
     d: int
@@ -230,16 +237,20 @@ class FourierGate:
         jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
         return np.exp(-2j * np.pi * jk / self.d) / np.sqrt(self.d)
 
-    def act(self, psi: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, d, rest = psi.shape
-        # fibre (a, b) holds the flat indices a*d*rest + j*rest + b. Its ids a*rest + b, taken
-        # from a sorted support, and the output's indices, row by row in j, come in ascending
-        # runs, which a stable sort merges in O(n log d) even when the support is dense
-        ids = np.sort(support // (d * rest) * rest + support % rest, kind="stable")
-        a, b = np.divmod(ids[np.diff(ids, prepend=-1) != 0], rest)
-        out = np.zeros(psi.shape, dtype=np.complex128)  # calloc-backed: untouched pages stay unwritten
-        out[a, :, b] = np.fft.fft(psi[a, :, b], axis=1, norm="ortho")
-        return out, np.sort((a * d * rest + b + rest * np.arange(d)[:, None]).ravel(), kind="stable")
+    def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
+        d = self.d
+        # fibre (a, b) holds the flat indices a*d*rest + j*rest + b; its entry j goes to row
+        # rank(a*rest + b), column j. Those ids, taken from a sorted support, and the output's
+        # indices, row by row in j, come in ascending runs, which a stable sort merges in O(n log d)
+        ids = support // (d * rest) * rest + support % rest
+        occupied = np.sort(ids, kind="stable")
+        occupied = occupied[np.diff(occupied, prepend=-1) != 0]
+        fibres = np.zeros((occupied.size, d), dtype=np.complex128)
+        fibres[np.searchsorted(occupied, ids), support // rest % d] = values
+        a, b = np.divmod(occupied, rest)
+        out = (a * d * rest + b + rest * np.arange(d)[:, None]).ravel()
+        order = np.argsort(out, kind="stable")
+        return out[order], np.fft.fft(fibres, axis=1, norm="ortho").T.ravel()[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +283,9 @@ def _on_diagonal(d: int, t: int, c: complex | np.ndarray) -> QuditRegister:
     """The register sum_k c_k |k...k> of t qudits; a scalar c is every c_k."""
     _check_size(d, t)
     step = (d**t - 1) // (d - 1)  # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
-    amps = np.zeros(d**t, dtype=np.complex128)
-    amps[::step] = c
-    amps.setflags(write=False)
-    return QuditRegister(d, t, amps, _support=np.arange(0, d**t, step))
+    values = np.empty(d, dtype=np.complex128)
+    values[:] = c
+    return QuditRegister(d, t, None, _held=(np.arange(0, d**t, step), values))
 
 
 def make_ghz(d: int, t: int) -> QuditRegister:
@@ -307,9 +317,12 @@ def apply_local(
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
     q = _check_qudit_index(q, reg.t)
-    out, support = u.act(reg.amps.reshape(reg.d ** (q - 1), reg.d, -1), reg.support)
-    out.setflags(write=False)  # adopted when act made a fresh C-ordered array, copied otherwise
-    return QuditRegister(reg.d, reg.t, out, _support=support)
+    rest = reg.d ** (reg.t - q)
+    if isinstance(u, LocalUnitary):  # the dense oracle: m along the middle axis of the dense view
+        out = u.m @ reg.amps.reshape(-1, reg.d, rest)
+        out.setflags(write=False)  # a fresh C-ordered array, so the register adopts it
+        return QuditRegister(reg.d, reg.t, out)
+    return QuditRegister(reg.d, reg.t, None, _held=u.act(reg.support, reg.values, rest))
 
 
 def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:

@@ -10,13 +10,20 @@ from quditshare.qudit_sim import QuditRegister
 
 
 def assert_support_exact(reg):
-    """Assert reg.support is sorted, unique, within [0, d^t) and read-only, and that every
-    amplitude outside it is exactly 0."""
-    support = reg.support
+    """Assert reg.support is sorted, unique, within [0, d^t) and read-only, that every
+    amplitude outside it is exactly 0, and that reg.values, and every array it views, is
+    read-only and equals reg.amps[reg.support] bit for bit."""
+    support, values, amps = reg.support, reg.values, reg.amps
     assert not support.flags.writeable, "the support is writable"
     assert np.all(np.diff(support) > 0), "the support is not sorted and unique"
     assert 0 <= support[0] <= support[-1] < reg.d**reg.t, "the support leaves [0, d^t)"
-    assert np.count_nonzero(np.delete(reg.amps, support)) == 0, "a nonzero amplitude lies outside the support"
+    assert np.count_nonzero(np.delete(amps, support)) == 0, "a nonzero amplitude lies outside the support"
+    base = values
+    while isinstance(base, np.ndarray):
+        assert not base.flags.writeable, "the values, or an array they view, are writable"
+        base = base.base
+    assert values.shape == support.shape, f"{values.size} values for a support of {support.size}"
+    assert values.tobytes() == amps[support].tobytes(), "the values differ from amps on the support"
 
 
 def assert_registers_close(reg, other, tol):

@@ -117,13 +117,23 @@ def _loop_amplitude_table(reg):
     return tuple(rows), total
 
 
+@st.composite
+def _transformed_encodings(draw):
+    """post_encoding_state of drawn terms, then the Fourier gate on a drawn qudit."""
+    t = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 9).filter(lambda d: d**t <= 4096))
+    terms = tuple(draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t)))
+    return apply_local(post_encoding_state(ProtocolParams(d, t, s_vector=terms)), draw(st.integers(1, t)), qft_inv(d))
+
+
 @settings(max_examples=60, deadline=None)
-@given(reg=sparse_registers())
+@given(reg=st.one_of(sparse_registers(), _transformed_encodings()))
 def test_amplitude_table_matches_plain_loop(reg):
+    # the table reads reg.values as Python complex numbers, the loop reg.amps as numpy scalars
     rows, total = _loop_amplitude_table(reg)
     table = amplitude_table(reg)
     assert table.rows == rows
-    assert repr(table.norm_check) == repr(total)
+    assert table.norm_check.hex() == total.hex()
 
 
 def test_amplitude_table_builds_no_register_sized_temporary():
@@ -138,6 +148,18 @@ def test_amplitude_table_reads_only_the_support():
     encoded = post_encoding_state(ProtocolParams(8, 6, s_vector=(3, 1, 4, 1, 5, 2)))
     reg = apply_local(encoded, 1, qft_inv(8))
     assert traced_peak(amplitude_table, reg) <= 0.01 * reg.amps.nbytes
+
+
+def _encoded_transformed_table(params):
+    return amplitude_table(apply_local(post_encoding_state(params), 1, qft_inv(params.d)))
+
+
+@pytest.mark.parametrize("params", [ProtocolParams(8, 6, s_vector=(3, 1, 4, 1, 5, 2)),
+                                    ProtocolParams(2, 22, s_vector=(1, 0) * 11)], ids=["d8-t6", "at-the-cap"])
+def test_encode_transform_table_builds_no_register(params):
+    # registers hold only their support and values: d amplitudes encoded, d^2 transformed
+    assert len(_encoded_transformed_table(params).rows) == params.d**2
+    assert traced_peak(_encoded_transformed_table, params) <= 0.01 * 16 * params.d**params.t
 
 
 def test_amplitude_table_dict_round_trip():
