@@ -5,15 +5,17 @@ as the MOST significant digit, I = k_1*d^(t-1) + ... + k_t. All reduced
 statistics (marginal, measure, joint_distribution) follow this convention.
 Every seeded draw, measure's included, is inverse_cdf on a one-qudit law.
 
-Every register holds its support, the sorted flat indices outside which every
-amplitude is exactly 0, and its values, the amplitudes on the support. A gate
-on qudit q acts on the fibres of the (d^(q-1), d, rest) view, its lines along
-the middle axis. _on_diagonal (behind make_ghz and post_encoding_state), the
-phase gate and the inverse Fourier gate (an FFT of the occupied fibres alone)
-map (support, values) to (support, values): a GHZ-branch state sum_k c_k
-|k...k> holds d amplitudes, d^2 once a qudit is inverted, never d^t. Only the
-dense readers (marginal, measure, joint_distribution and a user LocalUnitary,
-a batched matmul after an O(d^3) unitarity check) build the dense vector amps.
+A register is its support, the sorted flat indices outside which every
+amplitude is exactly 0, and its values, the amplitudes on the support: a
+GHZ-branch state sum_k c_k |k...k> holds d amplitudes, d^2 once a qudit is
+inverted, never d^t. A gate on qudit q acts on the fibres of the
+(d^(q-1), d, rest) view, its lines along the middle axis. apply_local runs the
+phase or Fourier gate's kernel on that view of the values when the support
+covers the register, and otherwise the gate's act, which maps (support,
+values) to (support, values). marginal, measure and joint_distribution read
+each qudit's digit off the support. Only the amps property, a dense vector for
+tests, and a user LocalUnitary, the dense oracle (a batched matmul on amps
+after an O(d^3) unitarity check), build a d^t array.
 
 The size cap (_check_size) bounds d^t for every register, whether or not its
 dense vector is ever built, and every gate's .m, its dense d x d matrix built
@@ -21,11 +23,10 @@ on demand for tests and the dense oracle. _on_diagonal is the one place that
 knows where |k...k> sits in the flat register.
 
 Registers and gates are immutable, so they are safe to share across threads:
-a register copies a handed-in array it may not adopt (see QuditRegister), and
-the engine marks each array it has just made read-only. Phase exponents are
-reduced mod d before exponentiation, keeping equal roots of unity
-bitwise-comparable. Every invariant is compared with its bound by _check_tol
-alone, which NaN and inf fail.
+a register copies a handed-in array once, and the engine marks each array it
+has just made read-only. Phase exponents are reduced mod d before
+exponentiation, keeping equal roots of unity bitwise-comparable. Every
+invariant is compared with its bound by _check_tol alone, which NaN and inf fail.
 """
 
 from __future__ import annotations
@@ -100,50 +101,29 @@ def basis_label(digits: tuple[int, ...], d: int) -> str:
     return ".".join(map(str, digits))
 
 
-def _adoptable(a: object) -> bool:
-    """True for a read-only, C-ordered complex128 ndarray that views no writable array."""
-    if type(a) is not np.ndarray or a.dtype != np.complex128:
-        return False
-    flags = a.flags
-    if flags.writeable or not flags.c_contiguous:
-        return False
-    base = a.base
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            return False
-        base = base.base
-    return True
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class QuditRegister:
-    """Normalized pure state of t qudits, d**t <= DEFAULT_SIZE_CAP, held as its support and values.
+    """Normalized pure state of t qudits, d**t <= DEFAULT_SIZE_CAP, held as its support and values alone.
 
     support holds the sorted flat indices outside which every amplitude is
     exactly 0, values the amplitudes on it in support order; both are read-only,
     and the norm check sums over values. The engine hands both in as _held, with
-    amps None. An array handed in as amps is kept without a copy when it is a
-    read-only, C-ordered complex128 ndarray and no array it views is writable,
-    and copied once otherwise, so no one can write through a register's memory;
-    one linear scan then finds its support, its entries with a nonzero or NaN part.
+    amps None. An array handed in as amps is copied once, so no one can write
+    through a register's memory, and one linear scan of the copy finds its
+    support, its entries with a nonzero or NaN part.
     """
 
     d: int
     t: int
     support: np.ndarray = field(init=False, repr=False)
     values: np.ndarray = field(init=False, repr=False)
-    _dense: np.ndarray | None = field(init=False, repr=False)
 
     def __init__(self, d: int, t: int, amps: object, *, _held: tuple[np.ndarray, np.ndarray] | None = None):
         _check_size(d, t)
         if amps is None:
             support, values = _held
-            amps = values if values.size == d**t else None
         else:
-            if not _adoptable(amps):
-                amps = np.array(amps, dtype=np.complex128, order="C")
-                amps.setflags(write=False)
-            amps = amps.reshape(-1)
+            amps = np.array(np.reshape(amps, -1), dtype=np.complex128)  # a copy that owns its memory
             if amps.size != d**t:
                 raise ValueError(f"expected {d ** t} amplitudes, got {amps.size}")
             parts = amps.view(np.float64).reshape(-1, 2)  # one linear scan, NaN and inf included
@@ -152,13 +132,14 @@ class QuditRegister:
         support.setflags(write=False)
         values.setflags(write=False)
         _check_tol(abs(np.vdot(values, values).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
-        self.__dict__.update(d=d, t=t, support=support, values=values, _dense=amps)  # past the frozen __setattr__
+        self.__dict__.update(d=d, t=t, support=support, values=values)  # past the frozen __setattr__
 
     @property
     def amps(self) -> np.ndarray:
-        """The read-only dense vector: the array handed in, values on a full support, else built per read."""
-        if self._dense is not None:
-            return self._dense
+        """The read-only dense vector, for tests and the LocalUnitary oracle: values when the
+        support covers the register, else a vector built on each read."""
+        if self.values.size == self.d**self.t:
+            return self.values
         amps = np.zeros(self.d**self.t, dtype=np.complex128)
         amps[self.support] = self.values
         amps.setflags(write=False)
@@ -186,9 +167,10 @@ class LocalUnitary:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalGate:
-    """The diagonal unitary diag(phases), applied as one multiply per value on the support.
+    """The diagonal unitary diag(phases): each amplitude times the phase of its qudit's digit.
 
-    Its unitarity check is O(d): diag(p) diag(p)^dagger - 1 is diag(|p_k|^2 - 1).
+    A zero stays exactly 0, so the support stays. Its unitarity check is O(d):
+    diag(p) diag(p)^dagger - 1 is diag(|p_k|^2 - 1).
     """
 
     phases: np.ndarray
@@ -209,12 +191,11 @@ class DiagonalGate:
         _check_size(self.d, 2)
         return np.diag(self.phases)
 
+    def kernel(self, fibres: np.ndarray) -> np.ndarray:
+        """The gate along the middle axis of a (-1, d, rest) view."""
+        return fibres * self.phases[:, None]
+
     def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each value times the phase of its qudit's digit; a zero stays exactly 0, so the support stays."""
-        if support[-1] + 1 == support.size and support.size % (self.d * rest) == 0:  # all of range(n): broadcast
-            out = values.reshape(-1, self.d, rest) * self.phases[:, None]
-            out.setflags(write=False)  # the register keeps its flat view
-            return support, out.ravel()
         return support, values * self.phases[support // rest % self.d]
 
 
@@ -222,8 +203,9 @@ class DiagonalGate:
 class FourierGate:
     """The inverse Fourier transform on one qudit, entry (j, k) = w^(-j*k) / sqrt(d).
 
-    Applied as numpy's orthonormal forward FFT of the fibres the input's support
-    meets alone: an all-zero fibre transforms to zeros, so the occupied fibres'
+    Applied as numpy's orthonormal forward FFT along axis 1: of every fibre when
+    the support covers the register, and otherwise of the fibres the support
+    meets alone. An all-zero fibre transforms to zeros, so the occupied fibres'
     entries are the output's support and their transforms its values. Unitary
     by construction, so it holds no entries to check.
     """
@@ -236,6 +218,10 @@ class FourierGate:
         _check_size(self.d, 2)
         jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
         return np.exp(-2j * np.pi * jk / self.d) / np.sqrt(self.d)
+
+    def kernel(self, fibres: np.ndarray) -> np.ndarray:
+        """The gate along axis 1 of a (-1, d, rest) view or a (-1, d) stack of fibres."""
+        return np.fft.fft(fibres, axis=1, norm="ortho")
 
     def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
         d = self.d
@@ -250,7 +236,7 @@ class FourierGate:
         a, b = np.divmod(occupied, rest)
         out = (a * d * rest + b + rest * np.arange(d)[:, None]).ravel()
         order = np.argsort(out, kind="stable")
-        return out[order], np.fft.fft(fibres, axis=1, norm="ortho").T.ravel()[order]
+        return out[order], self.kernel(fibres).T.ravel()[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,20 +305,22 @@ def apply_local(
     q = _check_qudit_index(q, reg.t)
     rest = reg.d ** (reg.t - q)
     if isinstance(u, LocalUnitary):  # the dense oracle: m along the middle axis of the dense view
-        out = u.m @ reg.amps.reshape(-1, reg.d, rest)
-        out.setflags(write=False)  # a fresh C-ordered array, so the register adopts it
-        return QuditRegister(reg.d, reg.t, out)
+        return QuditRegister(reg.d, reg.t, u.m @ reg.amps.reshape(-1, reg.d, rest))
+    if reg.values.size == reg.d**reg.t:  # the support covers the register: the kernel on the values' view
+        out = u.kernel(reg.values.reshape(-1, reg.d, rest))
+        out.setflags(write=False)  # the register keeps its flat view
+        return QuditRegister(reg.d, reg.t, None, _held=(reg.support, out.ravel()))
     return QuditRegister(reg.d, reg.t, None, _held=u.act(reg.support, reg.values, rest))
 
 
+def _digits(reg: QuditRegister, q: int) -> np.ndarray:
+    """Qudit q's digit of each index on the support."""
+    return reg.support // reg.d ** (reg.t - _check_qudit_index(q, reg.t)) % reg.d
+
+
 def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:
-    """Outcome distribution of measuring qudit q alone."""
-    q = _check_qudit_index(q, reg.t)
-    probs = np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
-    others = tuple(i for i in range(reg.t) if i != q - 1)
-    if others:
-        probs = probs.sum(axis=others)
-    return MarginalDistribution(probs)
+    """Outcome distribution of measuring qudit q alone: |values|^2 binned by q's digit."""
+    return MarginalDistribution(np.bincount(_digits(reg, q), np.abs(reg.values) ** 2, minlength=reg.d))
 
 
 def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
@@ -354,31 +342,24 @@ def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     return idx
 
 
-def measure(
-    reg: QuditRegister, q: int, rng: np.random.Generator
-) -> tuple[int, QuditRegister]:
+def measure(reg: QuditRegister, q: int, rng: np.random.Generator) -> tuple[int, QuditRegister]:
     """Projective measurement of qudit q in the computational basis.
 
     Samples the outcome from marginal(reg, q) using rng, so identical seeds
     reproduce identical outcome sequences. Returns the outcome and the
-    renormalized post-measurement register.
+    post-measurement register: the support entries whose digit is the outcome,
+    renormalized.
     """
     probs = marginal(reg, q).probs
     v = int(inverse_cdf(probs, rng.random()))
-    psi = reg.amps.reshape((reg.d,) * reg.t)
-    sel: list[object] = [slice(None)] * reg.t
-    sel[q - 1] = v
-    post = np.zeros(psi.shape, dtype=np.complex128)
-    post[tuple(sel)] = psi[tuple(sel)] / np.sqrt(probs[v])
-    post.setflags(write=False)
-    return v, QuditRegister(reg.d, reg.t, post)
+    kept = _digits(reg, q) == v
+    post = (reg.support[kept], reg.values[kept] / np.sqrt(probs[v]))
+    return v, QuditRegister(reg.d, reg.t, None, _held=post)
 
 
 def joint_distribution(reg: QuditRegister) -> JointDistribution:
-    """All outcome tuples with probability above PRUNE_TOL, in basis order."""
-    probs = np.abs(reg.amps) ** 2
-    entries = {
-        basis_digits(int(i), reg.d, reg.t): float(probs[i])
-        for i in np.nonzero(probs > PRUNE_TOL)[0]
-    }
-    return JointDistribution(entries)
+    """All outcome tuples with probability above PRUNE_TOL, in basis order, read off the support."""
+    probs = np.abs(reg.values) ** 2
+    kept = probs > PRUNE_TOL
+    pairs = zip(reg.support[kept].tolist(), probs[kept].tolist())
+    return JointDistribution({basis_digits(i, reg.d, reg.t): p for i, p in pairs})

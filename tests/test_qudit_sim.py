@@ -280,6 +280,7 @@ def _gate_case(draw):
 @settings(max_examples=120, deadline=None)
 @given(case=_gate_case())
 @example(case=(QuditRegister(2, 2, np.array([0, 1, 1, 0]) / np.sqrt(2)), 1))  # d entries, not a whole range
+@example(case=(random_register(3, 3, seed=3), 2))  # a full support; qudit 2 has rest 3 on either side
 def test_library_gates_match_dense_oracle(case):
     _assert_library_gates_match_dense(*case)
 
@@ -423,10 +424,21 @@ def test_measure_largest_draw_stays_on_supported_branch():
 
 
 def test_measure_writes_its_register_once():
-    # the post-measurement register is one d^t array, plus the kept slice and marginal's table
+    # the post-measurement register holds only the entries it keeps; this bound would allow a
+    # d^t array, a kept slice and marginal's table (see test_dense_readers_build_no_register)
     reg = apply_local(make_ghz(8, 6), 1, qft_inv(8))
     for q in (1, 3, 6):
         assert traced_peak(measure, reg, q, np.random.default_rng(q)) <= 2.5 * reg.amps.nbytes, q
+
+
+def test_dense_readers_build_no_register():
+    # the readers work on the support, 64 amplitudes of 8^6, so no temporary scales with d^t
+    reg = apply_local(make_ghz(8, 6), 1, qft_inv(8))
+    bound = 0.01 * 16 * reg.d**reg.t
+    for q in (1, 3, 6):
+        assert traced_peak(marginal, reg, q) <= bound, q
+        assert traced_peak(measure, reg, q, np.random.default_rng(q)) <= bound, q
+    assert traced_peak(joint_distribution, reg) <= bound
 
 
 # joint_distribution ---------------------------------------------------------------
@@ -560,18 +572,21 @@ def test_register_copies_a_read_only_view_of_a_writable_base():
     assert not np.shares_memory(reg.amps, base)
 
 
-def test_register_adopts_a_read_only_array():
-    amps = np.zeros((2, 2), dtype=np.complex128)
-    amps[0, 0] = 1.0
+def test_register_copies_a_read_only_array():
+    # even a read-only, C-ordered complex128 array is copied; its support is full, so the
+    # register's values are the whole copy and amps returns them
+    amps = np.array([[0.5, 0.5j], [-0.5, 0.5]], dtype=np.complex128)
     amps.setflags(write=False)
     reg = QuditRegister(2, 2, amps)
-    assert np.shares_memory(reg.amps, amps)
+    assert not np.shares_memory(reg.amps, amps)
     assert reg.amps.shape == (4,)
     _assert_nobody_writes(reg.amps)
     # another dtype or a layout other than C order is copied into C order
     for other in (amps.astype(np.complex64), np.asfortranarray(amps)):
         other.setflags(write=False)
-        assert not np.shares_memory(QuditRegister(2, 2, other).amps, other)
+        copied = QuditRegister(2, 2, other).amps
+        assert not np.shares_memory(copied, other)
+        assert copied.tolist() == amps.ravel().tolist()
 
 
 def test_engine_registers_are_read_only():
