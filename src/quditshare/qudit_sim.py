@@ -12,15 +12,14 @@ inverted, never d^t. A gate on qudit q acts on the fibres of the
 (d^(q-1), d, rest) view, its lines along the middle axis. apply_local runs the
 phase or Fourier gate's kernel on that view of the values when the support
 covers the register, and otherwise the gate's act, which maps (support,
-values) to (support, values). marginal, measure and joint_distribution read
-each qudit's digit off the support. Only the amps property, a dense vector for
-tests, and a user LocalUnitary, the dense oracle (a batched matmul on amps
-after an O(d^3) unitarity check), build a d^t array.
+values) to (support, values). No gate holds a d x d matrix. marginal, measure
+and joint_distribution read each qudit's digit off the support. Only the amps
+property, a dense vector for the tests and the reference-state check, builds a
+d^t array.
 
 The size cap (_check_size) bounds d^t for every register, whether or not its
-dense vector is ever built, and every gate's .m, its dense d x d matrix built
-on demand for tests and the dense oracle. _on_diagonal is the one place that
-knows where |k...k> sits in the flat register.
+dense vector is ever built. _on_diagonal is the one place that knows where
+|k...k> sits in the flat register.
 
 Registers and gates are immutable, so they are safe to share across threads:
 a register copies a handed-in array once, and the engine marks each array it
@@ -45,7 +44,7 @@ RETAINED_TOL = 1e-9  # mass of a listing that omits entries below PRUNE_TOL
 
 
 class SizeCapExceeded(ValueError):
-    """Requested register or dense matrix would exceed the amplitude cap."""
+    """Requested register would exceed the amplitude cap."""
 
 
 class DimensionMismatch(ValueError):
@@ -136,33 +135,14 @@ class QuditRegister:
 
     @property
     def amps(self) -> np.ndarray:
-        """The read-only dense vector, for tests and the LocalUnitary oracle: values when the
-        support covers the register, else a vector built on each read."""
+        """The read-only dense vector, which the tests and analysis.verify_reference_states read:
+        values when the support covers the register, else a vector built on each read."""
         if self.values.size == self.d**self.t:
             return self.values
         amps = np.zeros(self.d**self.t, dtype=np.complex128)
         amps[self.support] = self.values
         amps.setflags(write=False)
         return amps
-
-
-@dataclass(frozen=True, eq=False)
-class LocalUnitary:
-    """A d x d unitary acting on a single qudit."""
-
-    d: int
-    m: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", _as_int(self.d, "local dimension", 2))
-        m = np.array(self.m, dtype=np.complex128)
-        if m.shape != (self.d, self.d):
-            raise ValueError(f"expected a {self.d}x{self.d} matrix, got {m.shape}")
-        with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN defect, which the check refuses
-            defect = np.max(np.abs(m @ m.conj().T - np.eye(self.d)))
-        _check_tol(defect, NORM_TOL, "matrix is not unitary: defect")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +165,6 @@ class DiagonalGate:
     def d(self) -> int:
         return self.phases.size
 
-    @property
-    def m(self) -> np.ndarray:
-        """The dense d x d matrix."""
-        _check_size(self.d, 2)
-        return np.diag(self.phases)
-
     def kernel(self, fibres: np.ndarray) -> np.ndarray:
         """The gate along the middle axis of a (-1, d, rest) view."""
         return fibres * self.phases[:, None]
@@ -211,13 +185,6 @@ class FourierGate:
     """
 
     d: int
-
-    @property
-    def m(self) -> np.ndarray:
-        """The dense d x d matrix, from the closed form."""
-        _check_size(self.d, 2)
-        jk = np.outer(np.arange(self.d), np.arange(self.d)) % self.d
-        return np.exp(-2j * np.pi * jk / self.d) / np.sqrt(self.d)
 
     def kernel(self, fibres: np.ndarray) -> np.ndarray:
         """The gate along axis 1 of a (-1, d, rest) view or a (-1, d) stack of fibres."""
@@ -296,16 +263,12 @@ def qft_inv(d: int) -> FourierGate:
     return FourierGate(_as_int(d, "local dimension", 2))
 
 
-def apply_local(
-    reg: QuditRegister, q: int, u: LocalUnitary | DiagonalGate | FourierGate
-) -> QuditRegister:
+def apply_local(reg: QuditRegister, q: int, u: DiagonalGate | FourierGate) -> QuditRegister:
     """Apply u to qudit q (1-based), identity on the rest."""
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
     q = _check_qudit_index(q, reg.t)
     rest = reg.d ** (reg.t - q)
-    if isinstance(u, LocalUnitary):  # the dense oracle: m along the middle axis of the dense view
-        return QuditRegister(reg.d, reg.t, u.m @ reg.amps.reshape(-1, reg.d, rest))
     if reg.values.size == reg.d**reg.t:  # the support covers the register: the kernel on the values' view
         out = u.kernel(reg.values.reshape(-1, reg.d, rest))
         out.setflags(write=False)  # the register keeps its flat view

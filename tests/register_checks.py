@@ -1,12 +1,12 @@
 """Checks on registers shared by the test modules: entrywise closeness, an exact support,
-traced allocation and a strategy of sparse registers."""
+a gate's matrix, traced allocation and a strategy of sparse registers."""
 
 import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
 
-from quditshare.qudit_sim import QuditRegister
+from quditshare.qudit_sim import QuditRegister, apply_local, make_ghz
 
 
 def assert_support_exact(reg):
@@ -34,6 +34,12 @@ def assert_registers_close(reg, other, tol):
     assert (reg.d, reg.t) == (other.d, other.t), f"shapes differ: {(reg.d, reg.t)} != {(other.d, other.t)}"
     gap = float(np.max(np.abs(reg.amps - other.amps)))
     assert gap <= tol, f"amplitudes differ by {gap!r}, beyond {tol!r}"
+
+
+def gate_matrix(gate):
+    """The d x d matrix a library gate applies, from one apply_local on qudit 1 of the pair
+    sum_k |k>|k> / sqrt(d): branch k carries the gate's image of |k>, column k of the result."""
+    return apply_local(make_ghz(gate.d, 2), 1, gate).amps.reshape(gate.d, gate.d) * np.sqrt(gate.d)
 
 
 def traced_peak(fn, *args):

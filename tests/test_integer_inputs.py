@@ -6,7 +6,7 @@ import pytest
 from quditshare.analysis import success_probability_mc
 from quditshare.modmath import Share, SharePolynomial, eval_poly, gen_shares, lagrange_term, mod_inverse
 from quditshare.protocol import ProtocolParams, run_repaired_all_measure
-from quditshare.qudit_sim import LocalUnitary, apply_local, make_ghz, phase_gate
+from quditshare.qudit_sim import apply_local, make_ghz, phase_gate, qft_inv
 
 SHARES = [Share(1, 0), Share(2, 2)]
 PARAMS = ProtocolParams(d=5, t=2, s_vector=(1, 2))
@@ -26,7 +26,7 @@ CASES = {
     "abscissa-float-zero": (lambda: gen_shares(SharePolynomial(5, (3, 2)), [0.0, 1]), "abscissa"),
     "ghz-d": (lambda: make_ghz(3.0, 2), "local dimension"),
     "ghz-d-text": (lambda: make_ghz("3", 2), "local dimension"),
-    "gate-d": (lambda: LocalUnitary(2.0, np.eye(2)), "local dimension"),
+    "gate-d": (lambda: qft_inv(2.0), "local dimension"),
     "apply-qudit": (lambda: apply_local(make_ghz(3, 2), 1.0, phase_gate(3, 1)), "qudit index"),
     "mc-trials": (lambda: success_probability_mc(PARAMS, 10.0), "trial count"),
     "mc-seed": (lambda: success_probability_mc(PARAMS, 10, seed=1.5), "seed"),

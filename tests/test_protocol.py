@@ -35,13 +35,11 @@ from quditshare.protocol import (
 )
 from quditshare.qudit_sim import (
     PRUNE_TOL,
-    LocalUnitary,
     MarginalDistribution,
     QuditRegister,
     ZeroNormProjection,
     apply_local,
     inverse_cdf,
-    joint_distribution,
     make_ghz,
     marginal,
     measure,
@@ -49,6 +47,7 @@ from quditshare.qudit_sim import (
     qft_inv,
 )
 
+import dense_oracle
 from exact_oracle import exact_law
 from register_checks import assert_registers_close, traced_peak
 
@@ -311,37 +310,26 @@ def test_repaired_single_agent():
 
 # registry against the dense oracle ---------------------------------------------------
 
-def _dense(gate):
-    """A library gate as a plain matrix, applied by the tensordot path."""
-    return LocalUnitary(gate.d, gate.m)
-
-
 def _dense_encoding(params):
-    """post_encoding_state with every phase gate applied as a dense matrix."""
-    reg = make_ghz(params.d, params.t)
+    """The encoded register as a flat vector: the GHZ state and each share's phase matrix."""
+    d, t = params.d, params.t
+    amps = dense_oracle.ghz(d, t)
     for r, s_r in enumerate(params.share_terms(), start=1):
-        reg = apply_local(reg, r, _dense(phase_gate(params.d, s_r)))
-    return reg
+        amps = dense_oracle.apply(amps, d, t, r, dense_oracle.phase(d, s_r))
+    return amps
 
 
 def _lone_oracle(params):
-    return marginal(apply_local(_dense_encoding(params), 1, _dense(qft_inv(params.d))), 1).probs
+    return _joint_oracle(params, (1,))
 
 
 def _product_oracle(params):
-    d = params.d
-    reg = apply_local(make_ghz(d, 1), 1, _dense(phase_gate(d, params.expected_secret)))
-    return marginal(apply_local(reg, 1, _dense(qft_inv(d))), 1).probs
+    return _joint_oracle(ProtocolParams(params.d, 1, s_vector=(params.expected_secret,)), (1,))
 
 
 def _all_measure_oracle(params):
-    reg = _dense_encoding(params)
-    for r in range(1, params.t + 1):
-        reg = apply_local(reg, r, _dense(qft_inv(params.d)))
-    probs = np.zeros(params.d)
-    for digits, p in joint_distribution(reg).entries.items():
-        probs[sum(digits) % params.d] += p
-    return probs
+    joint = _joint_oracle(params, range(1, params.t + 1))
+    return np.bincount(np.indices(joint.shape).sum(axis=0).ravel() % params.d, joint.ravel(), params.d)
 
 
 def _flow_params(flow, params):
@@ -351,14 +339,12 @@ def _flow_params(flow, params):
 
 
 def _joint_oracle(params, measured):
-    """Joint law of the measured qudits' results, one axis per measurer, on the dense engine."""
-    reg = _dense_encoding(params)
+    """Joint law of the measured qudits' results, one axis per measurer, on the dense oracle."""
+    d, t = params.d, params.t
+    amps = _dense_encoding(params)
     for r in measured:
-        reg = apply_local(reg, r, _dense(qft_inv(reg.d)))
-    joint = np.zeros((reg.d,) * len(measured))
-    for digits, p in joint_distribution(reg).entries.items():
-        joint[tuple(digits[r - 1] for r in measured)] += p
-    return joint
+        amps = dense_oracle.apply(amps, d, t, r, dense_oracle.fourier_inv(d))
+    return dense_oracle.probs(amps, d, t, measured)
 
 
 ORACLES = {

@@ -19,7 +19,6 @@ from quditshare.qudit_sim import (
     DimensionMismatch,
     FourierGate,
     IndexOutOfRange,
-    LocalUnitary,
     QuditRegister,
     SizeCapExceeded,
     ZeroNormProjection,
@@ -34,7 +33,9 @@ from quditshare.qudit_sim import (
     qft_inv,
 )
 
-from register_checks import assert_registers_close, assert_support_exact, sparse_registers, traced_peak
+import dense_oracle
+from register_checks import (assert_registers_close, assert_support_exact, gate_matrix, sparse_registers,
+                             traced_peak)
 
 # Reference d=4 example, w = i: branch phases w^(3k) on |kkk>, and the
 # per-branch coefficient rows after the inverse transform on qudit 1.
@@ -74,13 +75,6 @@ def random_register(d, t, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=d**t) + 1j * rng.normal(size=d**t)
     return QuditRegister(d, t, amps / np.linalg.norm(amps))
-
-
-def random_unitary(d, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(m)
-    return LocalUnitary(d, q)
 
 
 def d4_encoded_register():
@@ -124,11 +118,10 @@ def test_register_constructor_enforces_size_cap():
 
 
 def test_gates_respect_size_cap():
-    # applying a library gate builds no matrix; only its dense .m is capped
-    for gate in (lambda d: phase_gate(d, 1), qft_inv):
-        with pytest.raises(SizeCapExceeded):
-            gate(2049).m  # 2049^2 amplitudes > 2^22
-        assert gate(4).m.shape == (4, 4)
+    # applying a library gate builds no matrix, whose 2049^2 entries would exceed the cap of 2^22
+    reg = random_register(2049, 1, seed=2049)
+    for gate in (phase_gate(2049, 1), qft_inv(2049)):
+        assert traced_peak(apply_local, reg, 1, gate) <= 0.01 * 16 * 2049**2
 
 
 def test_gates_check_their_dimension():
@@ -149,7 +142,7 @@ def test_make_ghz_rejects_bad_args():
 
 def test_phase_gate_zero_is_identity():
     for d in (2, 3, 4, 7):
-        np.testing.assert_allclose(phase_gate(d, 0).m, np.eye(d), atol=1e-14)
+        np.testing.assert_allclose(gate_matrix(phase_gate(d, 0)), np.eye(d), atol=1e-14)
 
 
 def test_phase_gate_d4_s3_on_basis_states():
@@ -171,14 +164,9 @@ def test_phase_gate_rejects_out_of_range():
 
 # qft_inv ----------------------------------------------------------------------
 
-def qft_dense(d):
-    # the forward transform, entry (j, k) = w^(j*k) / sqrt(d): qft_inv's dense adjoint
-    return LocalUnitary(d, qft_inv(d).m.conj().T)
-
-
 def test_qft_inv_d4_expansions():
     # w^(3k) * column k must reproduce the four pinned coefficient rows / 2
-    m = qft_inv(4).m
+    m = gate_matrix(qft_inv(4))
     w = np.exp(2j * np.pi / 4)
     for k, coeffs in REF_COLUMNS.items():
         expansion = w ** (3 * k % 4) * m[:, k]
@@ -198,33 +186,32 @@ def test_qft_inv_recovers_phase_slope(d):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_qft_unitarity(d):
-    # each gate's action on each basis state rebuilds its closed-form matrix, which is unitary;
-    # the FFT is qft_inv's, and the forward transform w^(j*k) / sqrt(d) is its dense adjoint
-    jk = np.outer(np.arange(d), np.arange(d)) % d
-    closed_forward = np.exp(2j * np.pi * jk / d) / np.sqrt(d)
-    for gate, closed in ((qft_inv(d), qft_inv(d).m), (qft_dense(d), closed_forward)):
-        m = np.stack([apply_local(basis_state(d, 1, (k,)), 1, gate).amps for k in range(d)], axis=1)
-        np.testing.assert_allclose(m, closed, atol=1e-12)
-        np.testing.assert_allclose(m @ m.conj().T, np.eye(d), atol=1e-10)
-    np.testing.assert_allclose(qft_dense(d).m @ qft_inv(d).m, np.eye(d), atol=1e-10)
+    # qft_inv's action on each basis state rebuilds its closed form, which is unitary
+    m = gate_matrix(qft_inv(d))
+    np.testing.assert_allclose(m, dense_oracle.fourier_inv(d), atol=1e-12)
+    np.testing.assert_allclose(m @ m.conj().T, np.eye(d), atol=1e-10)
 
 
 def test_qft_qubit_is_hadamard_on_zero():
-    out = apply_local(basis_state(2, 1, (0,)), 1, qft_dense(2))
-    np.testing.assert_allclose(out.amps, np.full(2, 2**-0.5), atol=1e-12)
+    # at d = 2 the inverse and the forward transform are both the Hadamard gate
+    zero = basis_state(2, 1, (0,))
+    np.testing.assert_allclose(apply_local(zero, 1, qft_inv(2)).amps, np.full(2, 2**-0.5), atol=1e-12)
+    forward = dense_oracle.fourier_inv(2).conj().T
+    np.testing.assert_allclose(dense_oracle.apply(zero.amps, 2, 1, 1, forward), np.full(2, 2**-0.5), atol=1e-12)
 
 
 def test_qft_roundtrip_random_vector():
     reg = random_register(4, 1, seed=99)
-    out = apply_local(apply_local(reg, 1, qft_inv(4)), 1, qft_dense(4))
-    assert_registers_close(out, reg, tol=1e-10)
+    out = apply_local(reg, 1, qft_inv(4)).amps
+    back = dense_oracle.apply(out, 4, 1, 1, dense_oracle.fourier_inv(4).conj().T)
+    assert np.max(np.abs(back - reg.amps)) <= 1e-10
 
 
 # apply_local ------------------------------------------------------------------
 
 def test_apply_identity_is_noop():
     reg = random_register(3, 2, seed=5)
-    out = apply_local(reg, 2, LocalUnitary(3, np.eye(3)))
+    out = apply_local(reg, 2, phase_gate(3, 0))
     np.testing.assert_allclose(out.amps, reg.amps, atol=1e-14)
 
 
@@ -240,26 +227,27 @@ def test_apply_local_errors():
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_apply_local_matches_kron_oracle(q):
+    # the oracle's matmul along one axis is the Kronecker product I (x) m (x) I for any matrix m,
+    # and apply_local matches it for the library gates' matrices
     d, t = 3, 3
     reg = random_register(d, t, seed=41 + q)
-    u = random_unitary(d, seed=17 + q)
-    factors = [np.eye(d)] * t
-    factors[q - 1] = u.m
-    full = factors[0]
-    for f in factors[1:]:
-        full = np.kron(full, f)
-    expected = full @ reg.amps
-    out = apply_local(reg, q, u)
-    np.testing.assert_allclose(out.amps, expected, atol=1e-12)
+    rng = np.random.default_rng(17 + q)
+    cases = ((rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), None),
+             (dense_oracle.phase(d, 2), phase_gate(d, 2)), (dense_oracle.fourier_inv(d), qft_inv(d)))
+    for m, gate in cases:
+        expected = np.kron(np.kron(np.eye(d ** (q - 1)), m), np.eye(d ** (t - q))) @ reg.amps
+        np.testing.assert_allclose(dense_oracle.apply(reg.amps, d, t, q, m), expected, atol=1e-12)
+        if gate is not None:
+            np.testing.assert_allclose(apply_local(reg, q, gate).amps, expected, atol=1e-12)
 
 
 def _assert_library_gates_match_dense(reg, s):
-    # each library gate acts by its structure; LocalUnitary(d, gate.m) is the dense matmul oracle
-    for gate in (phase_gate(reg.d, s), qft_inv(reg.d)):
-        dense = LocalUnitary(reg.d, gate.m)
-        for q in range(1, reg.t + 1):
+    # each library gate acts by its structure; dense_oracle applies its matrix by a plain matmul
+    d, t = reg.d, reg.t
+    for gate, m in ((phase_gate(d, s), dense_oracle.phase(d, s)), (qft_inv(d), dense_oracle.fourier_inv(d))):
+        for q in range(1, t + 1):
             fast = apply_local(reg, q, gate).amps
-            assert np.max(np.abs(fast - apply_local(reg, q, dense).amps)) <= 1e-12
+            assert np.max(np.abs(fast - dense_oracle.apply(reg.amps, d, t, q, m))) <= 1e-12
 
 
 @st.composite
@@ -495,11 +483,13 @@ def test_joint_prunes_zero_rows():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_norm_preservation(d, t, seed):
+    # the library gates and the oracle's forward transform keep the norm
     reg = random_register(d, t, seed)
-    u = random_unitary(d, seed + 1)
     q = seed % t + 1
-    out = apply_local(reg, q, u)
-    assert abs(np.vdot(out.amps, out.amps).real - 1.0) < 1e-10
+    outs = [apply_local(reg, q, gate).amps for gate in (phase_gate(d, seed % d), qft_inv(d))]
+    outs.append(dense_oracle.apply(reg.amps, d, t, q, dense_oracle.fourier_inv(d).conj().T))
+    for out in outs:
+        assert abs(np.vdot(out, out).real - 1.0) < 1e-10
 
 
 @settings(max_examples=30)
@@ -592,7 +582,7 @@ def test_register_copies_a_read_only_array():
 def test_engine_registers_are_read_only():
     reg = make_ghz(3, 3)
     _assert_nobody_writes(reg.amps)
-    for gate in (phase_gate(3, 1), qft_inv(3), random_unitary(3, seed=4)):
+    for gate in (phase_gate(3, 1), qft_inv(3)):
         for q in (1, 2, 3):
             _assert_nobody_writes(apply_local(reg, q, gate).amps)
     transformed = apply_local(reg, 2, qft_inv(3))
@@ -615,7 +605,7 @@ def _engine_registers(d, terms, seed):
     encoded = post_encoding_state(ProtocolParams(d, t, s_vector=terms))
     regs = [make_ghz(d, t), encoded]
     for q in range(1, t + 1):
-        for gate in (phase_gate(d, terms[q - 1]), qft_inv(d), random_unitary(d, seed)):
+        for gate in (phase_gate(d, terms[q - 1]), qft_inv(d)):
             regs.append(apply_local(encoded, q, gate))
         transformed = apply_local(encoded, q, qft_inv(d))
         regs.append(measure(transformed, q % t + 1, np.random.default_rng(seed))[1])
@@ -669,11 +659,7 @@ def test_register_validation():
         reg.amps[0] = 1.0  # read-only storage
 
 
-def test_local_unitary_validation():
-    with pytest.raises(ValueError):
-        LocalUnitary(2, np.array([[1, 0], [0, 2]], dtype=complex))
-    with pytest.raises(ValueError):
-        LocalUnitary(3, np.eye(2))
+def test_diagonal_gate_validation():
     with pytest.raises(ValueError, match="not unitary"):
         DiagonalGate(np.array([1, 2], dtype=complex))
 

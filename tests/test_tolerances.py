@@ -17,7 +17,6 @@ from quditshare.qudit_sim import (
     NORM_TOL,
     DiagonalGate,
     JointDistribution,
-    LocalUnitary,
     MarginalDistribution,
     QuditRegister,
     _check_tol,
@@ -30,7 +29,6 @@ BAD = {"nan": np.nan, "inf": np.inf}
 VALIDATORS = {
     "register-norm": lambda x: QuditRegister(2, 1, [x, 1.0]),
     "register-norm-sparse": lambda x: QuditRegister(2, 2, [x, 0.0, 0.0, 1.0]),  # support {0, 3} of 4
-    "local-unitary": lambda x: LocalUnitary(2, [[x, 0.0], [0.0, 1.0]]),
     "diagonal-gate": lambda x: DiagonalGate([x, 1.0]),
     "marginal": lambda x: MarginalDistribution([x, 1.0]),
     "joint": lambda x: JointDistribution({(0,): x}),
