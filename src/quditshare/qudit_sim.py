@@ -9,11 +9,10 @@ A register is its support, the sorted flat indices outside which every
 amplitude is exactly 0, and its values, the amplitudes on the support: a
 GHZ-branch state sum_k c_k |k...k> holds d amplitudes, d^2 once a qudit is
 inverted, never d^t. A gate on qudit q acts on the fibres of the
-(d^(q-1), d, rest) view, its lines along the middle axis. apply_local runs the
-phase or Fourier gate's kernel on that view of the values when the support
-covers the register, and otherwise the gate's act, which maps (support,
-values) to (support, values). No gate holds a d x d matrix. marginal, measure
-and joint_distribution read each qudit's digit off the support. Only the amps
+(d^(q-1), d, rest) view, its lines along the middle axis. apply_local always
+runs the phase or Fourier gate's act, which maps (support, values) to
+(support, values); no gate holds a d x d matrix. marginal, measure and
+joint_distribution read each qudit's digit off the support. Only the amps
 property, a dense vector for the tests and the reference-state check, builds a
 d^t array.
 
@@ -84,15 +83,6 @@ def _check_qudit_index(q: int, t: int) -> int:
     return q
 
 
-def basis_digits(index: int, d: int, t: int) -> tuple[int, ...]:
-    """Digits (k_1, ..., k_t) of a flat basis index, qudit 1 first."""
-    digs = []
-    for _ in range(t):
-        index, k = divmod(index, d)
-        digs.append(k)
-    return tuple(reversed(digs))
-
-
 def basis_label(digits: tuple[int, ...], d: int) -> str:
     """Render digits as a compact label: '012' for d <= 10, dot-separated above."""
     if d <= 10:
@@ -135,8 +125,8 @@ class QuditRegister:
 
     @property
     def amps(self) -> np.ndarray:
-        """The read-only dense vector, which the tests and analysis.verify_reference_states read:
-        values when the support covers the register, else a vector built on each read."""
+        """The read-only dense vector for the tests and analysis.verify_reference_states: built
+        on each read, or values itself when the support covers the register."""
         if self.values.size == self.d**self.t:
             return self.values
         amps = np.zeros(self.d**self.t, dtype=np.complex128)
@@ -165,10 +155,6 @@ class DiagonalGate:
     def d(self) -> int:
         return self.phases.size
 
-    def kernel(self, fibres: np.ndarray) -> np.ndarray:
-        """The gate along the middle axis of a (-1, d, rest) view."""
-        return fibres * self.phases[:, None]
-
     def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
         return support, values * self.phases[support // rest % self.d]
 
@@ -177,33 +163,25 @@ class DiagonalGate:
 class FourierGate:
     """The inverse Fourier transform on one qudit, entry (j, k) = w^(-j*k) / sqrt(d).
 
-    Applied as numpy's orthonormal forward FFT along axis 1: of every fibre when
-    the support covers the register, and otherwise of the fibres the support
-    meets alone. An all-zero fibre transforms to zeros, so the occupied fibres'
-    entries are the output's support and their transforms its values. Unitary
-    by construction, so it holds no entries to check.
+    Applied as numpy's orthonormal forward FFT along axis 1 of the fibres the
+    support meets, each keyed by its digit-0 index. An all-zero fibre
+    transforms to zeros, so the occupied fibres' entries are the output's
+    support and their transforms its values. Unitary by construction, so it
+    holds no entries to check.
     """
 
     d: int
 
-    def kernel(self, fibres: np.ndarray) -> np.ndarray:
-        """The gate along axis 1 of a (-1, d, rest) view or a (-1, d) stack of fibres."""
-        return np.fft.fft(fibres, axis=1, norm="ortho")
-
     def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
         d = self.d
-        # fibre (a, b) holds the flat indices a*d*rest + j*rest + b; its entry j goes to row
-        # rank(a*rest + b), column j. Those ids, taken from a sorted support, and the output's
-        # indices, row by row in j, come in ascending runs, which a stable sort merges in O(n log d)
-        ids = support // (d * rest) * rest + support % rest
-        occupied = np.sort(ids, kind="stable")
-        occupied = occupied[np.diff(occupied, prepend=-1) != 0]
-        fibres = np.zeros((occupied.size, d), dtype=np.complex128)
-        fibres[np.searchsorted(occupied, ids), support // rest % d] = values
-        a, b = np.divmod(occupied, rest)
-        out = (a * d * rest + b + rest * np.arange(d)[:, None]).ravel()
+        digit = support // rest % d
+        base, row = np.unique(support - digit * rest, return_inverse=True)
+        fibres = np.zeros((base.size, d), dtype=np.complex128)
+        fibres[row, digit] = values
+        # row j of the output's indices, base + j*rest, ascends; a stable sort merges the d runs
+        out = (base + rest * np.arange(d)[:, None]).ravel()
         order = np.argsort(out, kind="stable")
-        return out[order], self.kernel(fibres).T.ravel()[order]
+        return out[order], np.fft.fft(fibres, axis=1, norm="ortho").T.ravel()[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,15 +242,10 @@ def qft_inv(d: int) -> FourierGate:
 
 
 def apply_local(reg: QuditRegister, q: int, u: DiagonalGate | FourierGate) -> QuditRegister:
-    """Apply u to qudit q (1-based), identity on the rest."""
+    """Apply u to qudit q (1-based), identity on the rest, through the gate's act."""
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
-    q = _check_qudit_index(q, reg.t)
-    rest = reg.d ** (reg.t - q)
-    if reg.values.size == reg.d**reg.t:  # the support covers the register: the kernel on the values' view
-        out = u.kernel(reg.values.reshape(-1, reg.d, rest))
-        out.setflags(write=False)  # the register keeps its flat view
-        return QuditRegister(reg.d, reg.t, None, _held=(reg.support, out.ravel()))
+    rest = reg.d ** (reg.t - _check_qudit_index(q, reg.t))
     return QuditRegister(reg.d, reg.t, None, _held=u.act(reg.support, reg.values, rest))
 
 
@@ -324,5 +297,5 @@ def joint_distribution(reg: QuditRegister) -> JointDistribution:
     """All outcome tuples with probability above PRUNE_TOL, in basis order, read off the support."""
     probs = np.abs(reg.values) ** 2
     kept = probs > PRUNE_TOL
-    pairs = zip(reg.support[kept].tolist(), probs[kept].tolist())
-    return JointDistribution({basis_digits(i, reg.d, reg.t): p for i, p in pairs})
+    digits = np.column_stack(np.unravel_index(reg.support[kept], (reg.d,) * reg.t)).tolist()
+    return JointDistribution({tuple(k): p for k, p in zip(digits, probs[kept].tolist())})

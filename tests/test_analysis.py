@@ -43,7 +43,6 @@ from quditshare.qudit_sim import (
     PRUNE_TOL,
     SizeCapExceeded,
     apply_local,
-    basis_digits,
     basis_label,
     inverse_cdf,
     make_ghz,
@@ -112,7 +111,7 @@ def _loop_amplitude_table(reg):
         mag = abs(a)
         if mag < PRUNE_TOL:
             continue
-        rows.append((basis_label(basis_digits(i, reg.d, reg.t), reg.d), float(a.real), float(a.imag)))
+        rows.append((basis_label(np.unravel_index(i, (reg.d,) * reg.t), reg.d), float(a.real), float(a.imag)))
         total += mag * mag
     return tuple(rows), total
 

@@ -23,7 +23,6 @@ from quditshare.qudit_sim import (
     SizeCapExceeded,
     ZeroNormProjection,
     apply_local,
-    basis_digits,
     basis_label,
     joint_distribution,
     make_ghz,
@@ -292,6 +291,17 @@ def test_fourier_gate_transforms_only_the_occupied_fibres(monkeypatch):
     assert sizes == [8 * 8]
 
 
+def test_apply_local_dispatches_through_act(monkeypatch):
+    # one path per gate: a full support, dense or one-qudit, reaches act like any other
+    calls = []
+    for gate in (DiagonalGate, FourierGate):
+        monkeypatch.setattr(gate, "act", lambda self, *a, act=gate.act: calls.append(type(self)) or act(self, *a))
+    for reg in (random_register(3, 3, seed=5), make_ghz(5, 1)):
+        for q in range(1, reg.t + 1):
+            apply_local(apply_local(reg, q, phase_gate(reg.d, 1)), q, qft_inv(reg.d))
+    assert calls == [DiagonalGate, FourierGate] * 4
+
+
 def test_encoding_reaches_reference_state():
     # any split of the accumulated phase 3 across the three qudits works
     expected = state_from_dict(4, 3, REF_ENCODED)
@@ -339,7 +349,7 @@ def test_marginal_matches_digit_enumeration_oracle():
     for q in (1, 2, 3):
         expected = np.zeros(3)
         for i, p in enumerate(probs):
-            expected[basis_digits(i, 3, 3)[q - 1]] += p
+            expected[np.unravel_index(i, (3,) * 3)[q - 1]] += p
         np.testing.assert_allclose(marginal(reg, q).probs, expected, atol=1e-12)
 
 
