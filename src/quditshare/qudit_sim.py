@@ -21,8 +21,8 @@ dense vector is ever built. _on_diagonal is the one place that knows where
 |k...k> sits in the flat register.
 
 Registers and gates are immutable, so they are safe to share across threads:
-a register copies a handed-in array once, and the engine marks each array it
-has just made read-only. Phase exponents are reduced mod d before
+a register takes, with no copy, the support and values arrays the engine has
+just made, and marks both read-only. Phase exponents are reduced mod d before
 exponentiation, keeping equal roots of unity bitwise-comparable. Every
 invariant is compared with its bound by _check_tol alone, which NaN and inf fail.
 """
@@ -90,45 +90,33 @@ def basis_label(digits: tuple[int, ...], d: int) -> str:
     return ".".join(map(str, digits))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class QuditRegister:
     """Normalized pure state of t qudits, d**t <= DEFAULT_SIZE_CAP, held as its support and values alone.
 
     support holds the sorted flat indices outside which every amplitude is
-    exactly 0, values the amplitudes on it in support order; both are read-only,
-    and the norm check sums over values. The engine hands both in as _held, with
-    amps None. An array handed in as amps is copied once, so no one can write
-    through a register's memory, and one linear scan of the copy finds its
-    support, its entries with a nonzero or NaN part.
+    exactly 0, values the amplitudes on it in support order; the norm check
+    sums over values. The constructor marks both arrays read-only without
+    copying them: every engine caller hands in arrays it has just made, so
+    no one else holds a writable reference to them.
     """
 
     d: int
     t: int
-    support: np.ndarray = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
-    def __init__(self, d: int, t: int, amps: object, *, _held: tuple[np.ndarray, np.ndarray] | None = None):
-        _check_size(d, t)
-        if amps is None:
-            support, values = _held
-        else:
-            amps = np.array(np.reshape(amps, -1), dtype=np.complex128)  # a copy that owns its memory
-            if amps.size != d**t:
-                raise ValueError(f"expected {d ** t} amplitudes, got {amps.size}")
-            parts = amps.view(np.float64).reshape(-1, 2)  # one linear scan, NaN and inf included
-            support = np.flatnonzero((parts[:, 0] != 0) | (parts[:, 1] != 0))
-            values = amps if support.size == amps.size else amps[support]
-        support.setflags(write=False)
-        values.setflags(write=False)
-        _check_tol(abs(np.vdot(values, values).real - 1.0), NORM_TOL, "register is not normalized: ||amps|^2 - 1|")
-        self.__dict__.update(d=d, t=t, support=support, values=values)  # past the frozen __setattr__
+    def __post_init__(self):
+        _check_size(self.d, self.t)
+        self.support.setflags(write=False)
+        self.values.setflags(write=False)
+        _check_tol(abs(np.vdot(self.values, self.values).real - 1.0), NORM_TOL,
+                   "register is not normalized: ||amps|^2 - 1|")
 
     @property
     def amps(self) -> np.ndarray:
-        """The read-only dense vector for the tests and analysis.verify_reference_states: built
-        on each read, or values itself when the support covers the register."""
-        if self.values.size == self.d**self.t:
-            return self.values
+        """The read-only dense vector for the tests and analysis.verify_reference_states,
+        built on each read."""
         amps = np.zeros(self.d**self.t, dtype=np.complex128)
         amps[self.support] = self.values
         amps.setflags(write=False)
@@ -156,7 +144,7 @@ class DiagonalGate:
         return self.phases.size
 
     def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
-        return support, values * self.phases[support // rest % self.d]
+        return support, values * self.phases.take(support // rest, mode="wrap")
 
 
 @dataclass(frozen=True)
@@ -216,7 +204,7 @@ def _on_diagonal(d: int, t: int, c: complex | np.ndarray) -> QuditRegister:
     step = (d**t - 1) // (d - 1)  # |k...k> sits at flat index k * (1 + d + ... + d^(t-1))
     values = np.empty(d, dtype=np.complex128)
     values[:] = c
-    return QuditRegister(d, t, None, _held=(np.arange(0, d**t, step), values))
+    return QuditRegister(d, t, np.arange(0, d**t, step), values)
 
 
 def make_ghz(d: int, t: int) -> QuditRegister:
@@ -246,7 +234,7 @@ def apply_local(reg: QuditRegister, q: int, u: DiagonalGate | FourierGate) -> Qu
     if u.d != reg.d:
         raise DimensionMismatch(f"gate dimension {u.d} != register dimension {reg.d}")
     rest = reg.d ** (reg.t - _check_qudit_index(q, reg.t))
-    return QuditRegister(reg.d, reg.t, None, _held=u.act(reg.support, reg.values, rest))
+    return QuditRegister(reg.d, reg.t, *u.act(reg.support, reg.values, rest))
 
 
 def _digits(reg: QuditRegister, q: int) -> np.ndarray:
@@ -289,8 +277,7 @@ def measure(reg: QuditRegister, q: int, rng: np.random.Generator) -> tuple[int, 
     probs = marginal(reg, q).probs
     v = int(inverse_cdf(probs, rng.random()))
     kept = _digits(reg, q) == v
-    post = (reg.support[kept], reg.values[kept] / np.sqrt(probs[v]))
-    return v, QuditRegister(reg.d, reg.t, None, _held=post)
+    return v, QuditRegister(reg.d, reg.t, reg.support[kept], reg.values[kept] / np.sqrt(probs[v]))
 
 
 def joint_distribution(reg: QuditRegister) -> JointDistribution:

@@ -1,5 +1,6 @@
-"""Checks on registers shared by the test modules: entrywise closeness, an exact support,
-a gate's matrix, traced allocation and a strategy of sparse registers."""
+"""Checks on registers shared by the test modules: a register built from a dense array,
+entrywise closeness, an exact support, a gate's matrix, traced allocation and a strategy of
+sparse registers."""
 
 import tracemalloc
 
@@ -7,6 +8,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from quditshare.qudit_sim import QuditRegister, apply_local, make_ghz
+
+
+def register(d, t, amps):
+    """The register whose dense vector is amps, held on a complex128 copy's entries with a
+    nonzero or NaN part: -0.0 is dropped, a subnormal part is kept."""
+    amps = np.array(amps, dtype=np.complex128).reshape(-1)
+    support = np.flatnonzero(amps)
+    return QuditRegister(d, t, support, amps[support])
 
 
 def assert_support_exact(reg):
@@ -80,4 +89,4 @@ def sparse_registers(draw):
     for i, fill in fills.items():
         if parts[i] == 0:
             parts[i] = fill
-    return QuditRegister(d, t, parts.view(np.complex128))
+    return register(d, t, parts.view(np.complex128))

@@ -36,7 +36,7 @@ from quditshare.qudit_sim import (
     qft_inv,
 )
 
-from register_checks import assert_registers_close, gate_matrix
+from register_checks import assert_registers_close, gate_matrix, register
 
 # The four d=4 inverse-transform expansions (branch phase included), times 1/2.
 EXPANSIONS = {
@@ -236,11 +236,9 @@ def test_criterion_8_property_suites():
 
     # norm preservation under the library gates, on random registers
     rng = np.random.default_rng(22)
-    from quditshare.qudit_sim import QuditRegister
-
     for d, t in [(2, 3), (3, 2), (5, 2), (6, 2)]:
         amps = rng.normal(size=d**t) + 1j * rng.normal(size=d**t)
-        reg = QuditRegister(d, t, amps / np.linalg.norm(amps))
+        reg = register(d, t, amps / np.linalg.norm(amps))
         q = int(rng.integers(1, t + 1))
         for gate in (phase_gate(d, int(rng.integers(0, d))), qft_inv(d)):
             out = apply_local(reg, q, gate)

@@ -36,7 +36,6 @@ from quditshare.protocol import (
 from quditshare.qudit_sim import (
     PRUNE_TOL,
     MarginalDistribution,
-    QuditRegister,
     ZeroNormProjection,
     apply_local,
     inverse_cdf,
@@ -49,7 +48,7 @@ from quditshare.qudit_sim import (
 
 import dense_oracle
 from exact_oracle import exact_law
-from register_checks import assert_registers_close, traced_peak
+from register_checks import assert_registers_close, register, traced_peak
 
 
 def d4_params():
@@ -514,7 +513,7 @@ def test_draw_largest_uniform_stays_on_supported_branch(variant):
     # qudit 1 is (|0> + |1>)/sqrt 2, qudit 2 is |1>: the law's top sits just below 1
     amps = np.kron(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), [0.0, 1.0, 0.0])
     flow = VARIANTS[variant]
-    law = _law_of(flow, QuditRegister(3, 2, amps))
+    law = _law_of(flow, register(3, 2, amps))
     assert np.cumsum(law)[-1] < 1.0
     outcomes = inverse_cdf(law, ConstantRng(float(np.nextafter(1.0, 0.0))).random(3))
     assert outcomes.shape == (3,)
@@ -525,7 +524,7 @@ def test_draw_largest_uniform_stays_on_supported_branch(variant):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_draw_uniform_past_one_raises(variant):
-    law = _law_of(VARIANTS[variant], QuditRegister(2, 2, np.array([1.0, 0.0, 0.0, 0.0])))
+    law = _law_of(VARIANTS[variant], register(2, 2, np.array([1.0, 0.0, 0.0, 0.0])))
     with pytest.raises(ZeroNormProjection):
         inverse_cdf(law, ConstantRng(1.0).random(1))
 

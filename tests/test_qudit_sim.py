@@ -1,6 +1,5 @@
 """State-vector engine: pinned amplitudes, independent oracles, and properties."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -33,8 +32,8 @@ from quditshare.qudit_sim import (
 )
 
 import dense_oracle
-from register_checks import (assert_registers_close, assert_support_exact, gate_matrix, sparse_registers,
-                             traced_peak)
+from register_checks import (assert_registers_close, assert_support_exact, gate_matrix, register,
+                             sparse_registers, traced_peak)
 
 # Reference d=4 example, w = i: branch phases w^(3k) on |kkk>, and the
 # per-branch coefficient rows after the inverse transform on qudit 1.
@@ -67,13 +66,13 @@ def state_from_dict(d, t, amps_by_digits):
 
 
 def basis_state(d, t, digits):
-    return QuditRegister(d, t, state_from_dict(d, t, {tuple(digits): 1.0}))
+    return register(d, t, state_from_dict(d, t, {tuple(digits): 1.0}))
 
 
 def random_register(d, t, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=d**t) + 1j * rng.normal(size=d**t)
-    return QuditRegister(d, t, amps / np.linalg.norm(amps))
+    return register(d, t, amps / np.linalg.norm(amps))
 
 
 def d4_encoded_register():
@@ -112,8 +111,8 @@ def test_make_ghz_size_cap():
 
 def test_register_constructor_enforces_size_cap():
     with pytest.raises(SizeCapExceeded):
-        QuditRegister(2, 23, np.zeros(1))  # refused before amps is read
-    QuditRegister(2, 4, np.full(16, 0.25))
+        QuditRegister(2, 23, np.arange(1), np.ones(1, dtype=np.complex128))  # refused before values is read
+    QuditRegister(2, 4, np.arange(16), np.full(16, 0.25, dtype=np.complex128))
 
 
 def test_gates_respect_size_cap():
@@ -177,7 +176,7 @@ def test_qft_inv_recovers_phase_slope(d):
     # oracle: build (1/sqrt d) sum_k w^(S k)|k> directly from the definition
     for s_total in range(d):
         amps = np.exp(2j * np.pi * s_total * np.arange(d) / d) / np.sqrt(d)
-        out = apply_local(QuditRegister(d, 1, amps), 1, qft_inv(d))
+        out = apply_local(register(d, 1, amps), 1, qft_inv(d))
         assert abs(abs(out.amps[s_total]) - 1.0) < 1e-10
         others = np.delete(np.abs(out.amps), s_total)
         assert np.max(others) < 1e-10
@@ -266,7 +265,7 @@ def _gate_case(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(case=_gate_case())
-@example(case=(QuditRegister(2, 2, np.array([0, 1, 1, 0]) / np.sqrt(2)), 1))  # d entries, not a whole range
+@example(case=(register(2, 2, np.array([0, 1, 1, 0]) / np.sqrt(2)), 1))  # d entries, not a whole range
 @example(case=(random_register(3, 3, seed=3), 2))  # a full support; qudit 2 has rest 3 on either side
 def test_library_gates_match_dense_oracle(case):
     _assert_library_gates_match_dense(*case)
@@ -414,7 +413,7 @@ def test_measure_largest_draw_stays_on_supported_branch():
         def random(self):
             return float(np.nextafter(1.0, 0.0))  # the largest value Generator.random returns
 
-    reg = QuditRegister(3, 1, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    reg = register(3, 1, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     assert np.cumsum(marginal(reg, 1).probs)[-1] < 1.0  # rounding leaves the top below 1
     outcome, post = measure(reg, 1, TopRng())
     assert outcome == 1
@@ -546,58 +545,23 @@ def test_first_qudit_marginal_uniform_after_transform():
 
 # storage ------------------------------------------------------------------------
 
-def _assert_nobody_writes(amps):
-    """amps and every array it views are read-only."""
-    while isinstance(amps, np.ndarray):
-        assert not amps.flags.writeable
-        amps = amps.base
-
-
-def test_register_copies_a_writable_input():
-    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-    reg = QuditRegister(2, 2, amps)
-    amps[:] = [0.0, 1.0, 0.0, 0.0]
-    assert reg.amps.tolist() == [1, 0, 0, 0]
-    assert not np.shares_memory(reg.amps, amps)
-    _assert_nobody_writes(reg.amps)
-
-
-def test_register_copies_a_read_only_view_of_a_writable_base():
-    base = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-    view = base.view()
-    view.setflags(write=False)
-    reg = QuditRegister(2, 2, view)
-    base[:] = [0.0, 1.0, 0.0, 0.0]
-    assert reg.amps.tolist() == [1, 0, 0, 0]
-    assert not np.shares_memory(reg.amps, base)
-
-
-def test_register_copies_a_read_only_array():
-    # even a read-only, C-ordered complex128 array is copied; its support is full, so the
-    # register's values are the whole copy and amps returns them
-    amps = np.array([[0.5, 0.5j], [-0.5, 0.5]], dtype=np.complex128)
-    amps.setflags(write=False)
-    reg = QuditRegister(2, 2, amps)
-    assert not np.shares_memory(reg.amps, amps)
-    assert reg.amps.shape == (4,)
-    _assert_nobody_writes(reg.amps)
-    # another dtype or a layout other than C order is copied into C order
-    for other in (amps.astype(np.complex64), np.asfortranarray(amps)):
-        other.setflags(write=False)
-        copied = QuditRegister(2, 2, other).amps
-        assert not np.shares_memory(copied, other)
-        assert copied.tolist() == amps.ravel().tolist()
+def _assert_nobody_writes(reg):
+    """reg's support, values and amps, and every array they view, are read-only."""
+    for array in (reg.support, reg.values, reg.amps):
+        while isinstance(array, np.ndarray):
+            assert not array.flags.writeable
+            array = array.base
 
 
 def test_engine_registers_are_read_only():
     reg = make_ghz(3, 3)
-    _assert_nobody_writes(reg.amps)
+    _assert_nobody_writes(reg)
     for gate in (phase_gate(3, 1), qft_inv(3)):
         for q in (1, 2, 3):
-            _assert_nobody_writes(apply_local(reg, q, gate).amps)
+            _assert_nobody_writes(apply_local(reg, q, gate))
     transformed = apply_local(reg, 2, qft_inv(3))
     for q in (1, 2, 3):
-        _assert_nobody_writes(measure(transformed, q, np.random.default_rng(q))[1].amps)
+        _assert_nobody_writes(measure(transformed, q, np.random.default_rng(q))[1])
 
 
 def test_apply_local_adds_no_copy_to_the_gate():
@@ -630,7 +594,7 @@ def test_engine_supports_are_exact(data):
     d = data.draw(st.integers(2, 9).filter(lambda d: d**t <= 4096))
     terms = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t)))
     for reg in _engine_registers(d, terms, data.draw(st.integers(0, 2**32 - 1))):
-        handed = QuditRegister(d, t, reg.amps)
+        handed = register(d, t, reg.amps)
         assert_support_exact(reg)
         assert_support_exact(handed)
         assert amplitude_table(reg).rows == amplitude_table(handed).rows
@@ -640,30 +604,12 @@ def test_engine_supports_are_exact(data):
             assert out.amps.tobytes() == expected.amps.tobytes()
 
 
-def test_handed_in_register_is_scanned_once():
-    # a dense array gets the whole index range; a sparse one exactly its nonzero entries,
-    # with -0.0 and an exact zero part left out and a lone real or imaginary part kept
-    dense = random_register(3, 4, seed=5)
-    assert np.array_equal(dense.support, np.arange(3**4))
-    assert_support_exact(dense)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[[1, 4, 6]] = [0.6, 0.8j, complex(-0.0, -0.0)]
-    reg = QuditRegister(2, 3, amps)
-    assert reg.support.tolist() == [1, 4]
-    assert_support_exact(reg)
-    # dataclasses.replace hands in new amplitudes, so it scans them rather than keep the old support
-    moved = dataclasses.replace(reg, amps=np.roll(amps, 1))
-    assert moved.support.tolist() == [2, 5]
-
-
 # value validation ----------------------------------------------------------------
 
 def test_register_validation():
-    for unnormalized in (np.ones(4), [1.0, 0.0, 0.0, 1.0]):  # dense, and a support of 2 entries
+    for support in (np.arange(4), np.array([0, 3])):  # dense, and a support of 2 entries
         with pytest.raises(ValueError, match="not normalized"):
-            QuditRegister(2, 2, unnormalized)
-    with pytest.raises(ValueError):
-        QuditRegister(2, 2, np.zeros(3))  # wrong length
+            QuditRegister(2, 2, support, np.ones(support.size, dtype=np.complex128))
     reg = make_ghz(2, 2)
     with pytest.raises(ValueError):
         reg.amps[0] = 1.0  # read-only storage

@@ -1,5 +1,6 @@
 """The repository's configuration: pytest reports a failing property as a failure, not a crash,
-and the package's version is the one pyproject.toml declares."""
+the package's version is the one pyproject.toml declares, and the test oracles import nothing
+of the package."""
 
 import re
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import quditshare
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -42,3 +44,12 @@ def test_package_version_matches_pyproject():
     project = re.search(r"^\[project\]$(.*?)^\[", PYPROJECT.read_text(encoding="utf-8"), re.M | re.S)
     declared = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M).group(1)
     assert quditshare.__version__ == declared
+
+
+def test_oracles_import_nothing_of_the_package():
+    # register_checks imports the engine; the oracles the engine is checked against must not
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dense_oracle, exact_oracle; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'quditshare'))")
+    proc = subprocess.run([sys.executable, "-c", probe, str(TESTS)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

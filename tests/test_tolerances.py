@@ -18,17 +18,18 @@ from quditshare.qudit_sim import (
     DiagonalGate,
     JointDistribution,
     MarginalDistribution,
-    QuditRegister,
     _check_tol,
     inverse_cdf,
 )
+
+from register_checks import register
 
 BAD = {"nan": np.nan, "inf": np.inf}
 
 # validator -> call building it with one entry replaced by x
 VALIDATORS = {
-    "register-norm": lambda x: QuditRegister(2, 1, [x, 1.0]),
-    "register-norm-sparse": lambda x: QuditRegister(2, 2, [x, 0.0, 0.0, 1.0]),  # support {0, 3} of 4
+    "register-norm": lambda x: register(2, 1, [x, 1.0]),
+    "register-norm-sparse": lambda x: register(2, 2, [x, 0.0, 0.0, 1.0]),  # support {0, 3} of 4
     "diagonal-gate": lambda x: DiagonalGate([x, 1.0]),
     "marginal": lambda x: MarginalDistribution([x, 1.0]),
     "joint": lambda x: JointDistribution({(0,): x}),
