@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .qudit_sim import (
     QuditRegister,
     _check_tol,
     apply_local,
-    basis_label,
+    basis_labels,
     inverse_cdf,
     qft_inv,
 )
@@ -102,18 +103,19 @@ def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
 
     The candidates are the register's values, its amplitudes on the support,
     so no other amplitude is read; only they are tested against PRUNE_TOL.
-    norm_check sums the kept rows' scalar moduli in basis order, since a
-    vectorised sum can move its bits by an ulp.
+    The kept rows' labels are rendered from their digit matrix in one array
+    pass. norm_check sums the kept rows' scalar moduli in basis order, since
+    a vectorised modulus or sum can move its bits by an ulp.
     """
-    rows = []
+    values = reg.values.tolist()
+    mags = [abs(a) for a in values]
+    keep = [mag >= PRUNE_TOL for mag in mags]
     total = 0.0
-    digit_rows = np.column_stack(np.unravel_index(reg.support, (reg.d,) * reg.t)).tolist()
-    for a, digits in zip(reg.values.tolist(), digit_rows):
-        mag = abs(a)
-        if mag >= PRUNE_TOL:
-            rows.append((basis_label(digits, reg.d), a.real, a.imag))
-            total += mag * mag
-    return AmplitudeTable(d=reg.d, t=reg.t, rows=tuple(rows), norm_check=total)
+    for mag in itertools.compress(mags, keep):
+        total += mag * mag
+    labels = basis_labels(np.column_stack(np.unravel_index(reg.support[keep], (reg.d,) * reg.t)), reg.d)
+    rows = tuple((label, a.real, a.imag) for label, a in zip(labels, itertools.compress(values, keep)))
+    return AmplitudeTable(d=reg.d, t=reg.t, rows=rows, norm_check=total)
 
 
 def outcome_marginal(params: ProtocolParams) -> MarginalDistribution:

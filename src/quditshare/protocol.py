@@ -7,10 +7,11 @@ final outcome is the sum of their results mod d.
 
 Every state the flow reaches is sum_k c_k |k...k> with c_k = w^(S*k) / sqrt(d),
 so its laws need only the d branch amplitudes c, never the d^t register:
-branch_register(d, terms) adds the terms into one integer exponent vector
-e_k = sum_r s_r*k mod d and encodes c_k = w^(e_k) / sqrt(d) on one qudit with
-one phase gate on the library's GHZ state, so the phases are exact at any t
-and every protocol path runs up to the largest modulus.
+branch_register(d, terms) adds the terms one by one into an integer exponent
+vector e_k = sum_r s_r*k, reduces it mod d once, and encodes
+c_k = w^(e_k) / sqrt(d) on one qudit with one phase gate on the library's GHZ
+state, so the phases are exact at any t and every protocol path runs up to
+the largest modulus.
 ProtocolParams describes the secret alone; Variant.terms(params) resolves it
 to the phase terms the flow encodes, one per entangled qudit.
 Variant.distribution(params), the final outcome's exact law, is the one law
@@ -205,17 +206,21 @@ class ProtocolParams:
 def branch_register(d: int, terms: tuple[int, ...]) -> QuditRegister:
     """One qudit carrying the branch amplitudes c_k of the encoded state sum_k c_k |k...k>.
 
-    Each term, checked as a phase exponent in [0, d), adds s_r*k to one
-    integer exponent vector e_k mod d, so c_k = w^(e_k) / sqrt(d) is exact
-    at any t. One phase gate diag(w^e) then acts on a one-qudit GHZ state,
-    so the gate's unitarity and the norm are checked. It holds d amplitudes,
-    so no d^t size cap applies.
+    Each term, checked as a phase exponent in [0, d), adds s_r*k in place
+    to one int64 exponent vector e, reduced mod d once after the last term,
+    so c_k = w^(e_k) / sqrt(d) is exact at any t. The int64 sums are exact,
+    and e mod d is the per-term-reduced sum, while t*(d-1)^2 < 2^63: about
+    2*10^9 terms at the protocol's largest modulus, d = 2^16. One phase gate
+    diag(w^e) then acts on a one-qudit GHZ state, so the gate's unitarity
+    and the norm are checked. It holds d amplitudes, so no d^t size cap
+    applies.
     """
     reg = make_ghz(d, 1)
     k = np.arange(d, dtype=np.int64)
     e = np.zeros(d, dtype=np.int64)
     for s_r in terms:
-        e = (e + _as_int(s_r, "phase exponent", 0, d) * k) % d
+        e += _as_int(s_r, "phase exponent", 0, d) * k
+    e %= d
     return apply_local(reg, 1, DiagonalGate(np.exp(2j * np.pi * e / d)))
 
 

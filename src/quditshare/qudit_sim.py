@@ -83,11 +83,16 @@ def _check_qudit_index(q: int, t: int) -> int:
     return q
 
 
-def basis_label(digits: tuple[int, ...], d: int) -> str:
-    """Render digits as a compact label: '012' for d <= 10, dot-separated above."""
+def basis_labels(digits: np.ndarray, d: int) -> list[str]:
+    """Render each row of an (n, t) digit matrix as a label: '012' for d <= 10, dot-separated above.
+
+    Below 11 every digit is one character, so each row's t bytes '0' + k are
+    read as one t-byte string and all n labels decode in one array pass.
+    """
     if d <= 10:
-        return "".join(map(str, digits))
-    return ".".join(map(str, digits))
+        t = digits.shape[1]
+        return (digits.astype(np.uint8) + ord("0")).view(f"S{t}").astype(f"U{t}").ravel().tolist()
+    return [".".join(map(str, row)) for row in digits.tolist()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditshare import protocol
@@ -43,14 +43,13 @@ from quditshare.qudit_sim import (
     PRUNE_TOL,
     SizeCapExceeded,
     apply_local,
-    basis_label,
     inverse_cdf,
     make_ghz,
     measure,
     qft_inv,
 )
 
-from register_checks import sparse_registers, traced_peak
+from register_checks import register, sparse_registers, traced_peak
 
 
 def d4_params():
@@ -111,7 +110,9 @@ def _loop_amplitude_table(reg):
         mag = abs(a)
         if mag < PRUNE_TOL:
             continue
-        rows.append((basis_label(np.unravel_index(i, (reg.d,) * reg.t), reg.d), float(a.real), float(a.imag)))
+        digits = [str(int(k)) for k in np.unravel_index(i, (reg.d,) * reg.t)]
+        label = "".join(digits) if reg.d <= 10 else ".".join(digits)
+        rows.append((label, float(a.real), float(a.imag)))
         total += mag * mag
     return tuple(rows), total
 
@@ -125,8 +126,22 @@ def _transformed_encodings(draw):
     return apply_local(post_encoding_state(ProtocolParams(d, t, s_vector=terms)), draw(st.integers(1, t)), qft_inv(d))
 
 
+def _spread(d, t, entries):
+    """The normalised register with amplitude entries[i] at flat index i, 0 elsewhere."""
+    amps = np.zeros(d**t, dtype=np.complex128)
+    amps[list(entries)] = list(entries.values())
+    return register(d, t, amps / np.linalg.norm(amps))
+
+
 @settings(max_examples=60, deadline=None)
 @given(reg=st.one_of(sparse_registers(), _transformed_encodings()))
+# the label formats' edges (a digit 9 at d=10, a digit 10 at d=11, one qudit), a kept
+# subset of the support, and a dozen unequal rows, which numpy's unrolled sum adds in
+# another order than the scalar loop
+@example(reg=_spread(10, 2, {i: np.exp(1j * i) * (1 + 1 / (i + 1)) for i in range(0, 100, 9)}))
+@example(reg=_spread(11, 2, {i: np.exp(1j * i) * (1 + 1 / (i + 1)) for i in range(0, 121, 10)}))
+@example(reg=_spread(5, 1, {1: 0.6, 3: 0.8j}))
+@example(reg=_spread(3, 2, {0: 1.0, 4: 1e-14, 8: -1.0}))
 def test_amplitude_table_matches_plain_loop(reg):
     # the table reads reg.values as Python complex numbers, the loop reg.amps as numpy scalars
     rows, total = _loop_amplitude_table(reg)

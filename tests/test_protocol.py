@@ -567,6 +567,20 @@ def test_post_encoding_state_is_the_ghz_and_phase_chain():
             t += 1
 
 
+def test_branch_register_is_bit_exact_at_wide_shapes():
+    # The exponent vector is reduced mod d once, after the last term; its int64 sums stay
+    # exact while t*(d-1)^2 < 2^63, so the amplitudes match the per-term-reduced sum bit for bit.
+    rng = np.random.default_rng(37)
+    for d, t in [(65521, 800), (65536, 2000)]:
+        terms = tuple(int(v) for v in rng.integers(0, d, size=t))
+        k = np.arange(d, dtype=np.int64)
+        e = np.zeros(d, dtype=np.int64)
+        for s_r in terms:
+            e = (e + s_r * k) % d
+        expected = (1.0 / np.sqrt(d)) * np.exp(2j * np.pi * e / d)
+        assert np.array_equal(branch_register(d, terms).values, expected), (d, t)
+
+
 def test_post_encoding_equals_accumulated_phase():
     rng = np.random.default_rng(3)
     for d, t in [(2, 2), (4, 3), (6, 2), (8, 4)]:

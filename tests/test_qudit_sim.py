@@ -22,7 +22,7 @@ from quditshare.qudit_sim import (
     SizeCapExceeded,
     ZeroNormProjection,
     apply_local,
-    basis_label,
+    basis_labels,
     joint_distribution,
     make_ghz,
     marginal,
@@ -621,5 +621,8 @@ def test_diagonal_gate_validation():
 
 
 def test_basis_label_formats():
-    assert basis_label((0, 2, 1), 4) == "021"
-    assert basis_label((11, 0), 12) == "11.0"
+    assert basis_labels(np.array([(0, 2, 1)]), 4) == ["021"]
+    assert basis_labels(np.array([(11, 0)]), 12) == ["11.0"]
+    # one character per digit up to d = 10, dot-separated from d = 11
+    assert basis_labels(np.array([(9, 0), (0, 9)]), 10) == ["90", "09"]
+    assert basis_labels(np.array([(10, 0), (0, 10)]), 11) == ["10.0", "0.10"]
