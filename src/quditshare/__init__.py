@@ -8,4 +8,4 @@ quantifying when the lone measuring agent can (and cannot) recover the secret.
 The package binds only __version__; callers import each name from its module.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -37,7 +37,6 @@ MC_Z = 1.959963984540054  # standard normal quantile of 0.975: a 95% Wilson scor
 # Encoded register: (1/2) * sum_k w^(3k) |kkk>, branch phases w^(3k) below.
 REF_D = 4
 REF_T = 3
-REF_SECRET = 3
 REF_PARAMS = ProtocolParams(d=REF_D, t=REF_T, s_vector=(3, 0, 0))
 REF_TOL = 1e-12
 REF_TRIALS = 10_000
@@ -52,15 +51,6 @@ _REF_TRANSFORMED_COLUMNS = (
 )
 
 
-def published(x: float) -> float:
-    """x as every output publishes it: 0.0 below PRUNE_TOL (so no -0.0), else 12 significant digits.
-
-    The text prints this value and the CLI maps every structured float through
-    it, so no published byte rests on how numpy's exp or FFT rounds the last bits.
-    """
-    return 0.0 if abs(x) < PRUNE_TOL else float(f"{x:.12g}")
-
-
 class ReproductionError(AssertionError):
     """A computed state disagrees with its pinned closed form."""
 
@@ -69,9 +59,8 @@ class ReproductionError(AssertionError):
 class AmplitudeTable:
     """Nonzero amplitudes of a register, ordered by basis index.
 
-    Rows are (label, re, im) at full precision, as to_dict returns them; text
-    and structured output show each component as published() gives it, a clean
-    +-i display. norm_check is the squared-modulus sum of listed rows.
+    Rows are (label, re, im) at full precision; norm_check is the
+    squared-modulus sum of the listed rows.
     """
 
     d: int
@@ -81,21 +70,6 @@ class AmplitudeTable:
 
     def __post_init__(self):
         _check_tol(abs(self.norm_check - 1.0), RETAINED_TOL, "listed |amps|^2 do not sum to 1: |norm_check - 1|")
-
-    def to_text_rows(self) -> list[str]:
-        width = max(len(label) for label, _, _ in self.rows)
-        return [
-            f"  {label:<{width}}  {published(re):+.12g}{published(im):+.12g}i"
-            for label, re, im in self.rows
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "t": self.t,
-            "rows": [[label, re, im] for label, re, im in self.rows],
-            "norm_check": self.norm_check,
-        }
 
 
 def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
@@ -203,62 +177,16 @@ def verify_reference_states() -> tuple[QuditRegister, QuditRegister]:
 
 @dataclass(frozen=True)
 class ExampleReport:
-    """What one run of the reference example computed, reproducible byte-for-byte.
+    """What one run of the reference example computed, reproducible bit-for-bit per seed.
 
-    Its inputs are the REF_* constants and REF_PARAMS, which it renders from;
-    exact_p and verdict are read from the marginal.
+    Its inputs are the REF_* constants, REF_PARAMS and the caller's seed.
     """
 
     encoded_table: AmplitudeTable
     transformed_table: AmplitudeTable
     marginal: tuple[float, ...]
-    mc_seed: int
     mc_estimate: float
     mc_interval: tuple[float, float]
-
-    @property
-    def exact_p(self) -> float:
-        return self.marginal[REF_SECRET]
-
-    @property
-    def verdict(self) -> str:
-        return (f"outcome uniform over {REF_D} values (exact p = {self.exact_p:.12g}); "
-                "the lone measuring agent cannot recover the secret without announcements")
-
-    def to_dict(self) -> dict:
-        return {
-            "params": {"d": REF_D, "t": REF_T, "secret": REF_SECRET, "s_split": list(REF_PARAMS.s_vector)},
-            "encoded_table": self.encoded_table.to_dict(),
-            "transformed_table": self.transformed_table.to_dict(),
-            "marginal": list(self.marginal),
-            "exact_p": self.exact_p,
-            "mc": {
-                "trials": REF_TRIALS,
-                "seed": self.mc_seed,
-                "estimate": self.mc_estimate,
-                "interval95": list(self.mc_interval),
-            },
-            "verdict": self.verdict,
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"reference example: d={REF_D} t={REF_T} secret={REF_SECRET} "
-            f"split={','.join(str(s) for s in REF_PARAMS.s_vector)}",
-            "",
-            f"encoded state ({len(self.encoded_table.rows)} rows):",
-            *self.encoded_table.to_text_rows(),
-            "",
-            f"after inverse Fourier on qudit 1 ({len(self.transformed_table.rows)} rows):",
-            *self.transformed_table.to_text_rows(),
-            "",
-            "marginal of qudit 1: " + " ".join(f"{p:.12g}" for p in self.marginal),
-            f"exact success probability: {self.exact_p:.12g}",
-            f"monte carlo: trials={REF_TRIALS} seed={self.mc_seed} estimate={self.mc_estimate:.12g} "
-            f"interval95=[{self.mc_interval[0]:.12g}, {self.mc_interval[1]:.12g}]",
-            f"verdict: {self.verdict}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def reproduce_example_d4(seed: int = DEFAULT_SEED) -> ExampleReport:
@@ -274,7 +202,6 @@ def reproduce_example_d4(seed: int = DEFAULT_SEED) -> ExampleReport:
         encoded_table=amplitude_table(encoded),
         transformed_table=amplitude_table(transformed),
         marginal=tuple(float(p) for p in VARIANTS[SONG_ORIGINAL].distribution(REF_PARAMS).probs),
-        mc_seed=seed,
         mc_estimate=estimate,
         mc_interval=interval,
     )

@@ -168,9 +168,3 @@ def lagrange_term(shares: Sequence[Share], r: int, d: int) -> int:
     r = _as_int(r, "participant index", 1, len(shares) + 1)
     xs, ys = _check_points(shares, d)
     return _term(xs, ys, r - 1, d)
-
-
-def reconstruct_classical(shares: Sequence[Share], d: int) -> int:
-    """Sum of all Lagrange terms mod d; recovers a_0 for shares of one polynomial."""
-    d = _check_modulus(d)
-    return sum(lagrange_terms(shares, d)) % d

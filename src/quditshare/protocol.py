@@ -18,7 +18,8 @@ Variant.distribution(params), the final outcome's exact law, is the one law
 the runner and Monte Carlo draw from. When every agent measures, the runner
 then draws measurers 1..t-1 uniformly and the last one completes the sum,
 which is the measurers' joint Born law. Its Transcript holds the terms, the
-seed and the drawn outcomes, and renders every event from them.
+seed and the drawn outcomes; the CLI derives and renders the run's events
+from them.
 
 - song-original: the published flow. Only the first agent inverts and
   measures, receiving no announcements. Its outcome is uniform over Z_d, so
@@ -31,13 +32,12 @@ seed and the drawn outcomes, and renders every event from them.
   secret mod d on every run.
 
 The channel is ideal (no loss, no adversary); transfers exist only as
-rendered transcript lines. Variant.run(params, seed) is deterministic given
+transcript events. Variant.run(params, seed) is deterministic given
 both.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +75,7 @@ def derived_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class Transcript:
-    """One protocol run: the terms it encoded and the results its measurers read.
-
-    Its events are rendered from these, not stored: agent 1 sends qudit r to
-    agent r, agent r applies U(0,s_r), measurer r reads m_r in the Fourier
-    basis and, when the variant's flow announces, broadcasts it.
-    """
+    """One protocol run: the terms it encoded and the results its measurers read."""
 
     variant: str
     d: int
@@ -96,43 +91,6 @@ class Transcript:
     @property
     def final_outcome(self) -> int:
         return sum(self.outcomes) % self.d
-
-    def _events(self) -> Iterator[tuple[str, dict]]:
-        """Each event as its text line beside its record, in run order."""
-        for r in range(2, self.t + 1):
-            yield (f"send: qudit {r} from agent 1 to agent {r}",
-                   {"type": "qudit_sent", "from": 1, "to": r, "qudit": r})
-        for r, s_r in enumerate(self.terms, start=1):
-            yield (f"gate: agent {r} applies U(0,{s_r}) on qudit {r}",
-                   {"type": "gate_applied", "agent": r, "gate": f"U(0,{s_r})", "s": s_r})
-        announces = VARIANTS[self.variant].all_measure
-        for r, m_r in enumerate(self.outcomes, start=1):
-            yield (f"measure: agent {r} measures qudit {r} in fourier basis -> {m_r}",
-                   {"type": "measured", "agent": r, "basis": "fourier", "outcome": m_r})
-            if announces:
-                yield f"announce: agent {r} broadcasts {m_r}", {"type": "announced", "agent": r, "value": m_r}
-
-    def to_lines(self) -> list[str]:
-        return [
-            f"variant: {self.variant} d={self.d} t={self.t} seed={self.seed}",
-            *(line for line, _ in self._events()),
-            f"final outcome: {self.final_outcome}",
-            f"expected secret: {self.expected_secret}",
-        ]
-
-    def to_text(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "d": self.d,
-            "t": self.t,
-            "seed": self.seed,
-            "events": [record for _, record in self._events()],
-            "final_outcome": self.final_outcome,
-            "expected_secret": self.expected_secret,
-        }
 
 
 @dataclass(frozen=True)

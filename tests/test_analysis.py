@@ -11,17 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quditshare import protocol
+from quditshare import cli, protocol
 from quditshare.analysis import (
     MC_CHUNK,
     MC_Z,
     REF_PARAMS,
-    REF_SECRET,
     REF_TRIALS,
     ExampleReport,
     amplitude_table,
     outcome_marginal,
-    published,
     repaired_success_probability_exact,
     reproduce_example_d4,
     success_probability_exact,
@@ -29,6 +27,7 @@ from quditshare.analysis import (
     verify_reference_states,
     wilson_interval,
 )
+from quditshare.cli import published
 from quditshare.modmath import MAX_MODULUS
 from quditshare.protocol import (
     PRODUCT_COUNTERFACTUAL,
@@ -56,6 +55,18 @@ def d4_params():
     return ProtocolParams(d=4, t=3, s_vector=(3, 0, 0))
 
 
+def table_lines(table):
+    """The table's rows as the example command prints them."""
+    return cli._table_lines("table", cli._published(cli._table(table)))[1:]
+
+
+def example_command(seed=None):
+    """The example command's document, before publication, and its text."""
+    args = cli._parser().parse_args(["example"] + ([] if seed is None else ["--seed", str(seed)]))
+    doc = args.handler(args)
+    return doc, args.render(cli._published(doc))
+
+
 # amplitude_table ------------------------------------------------------------
 
 def test_amplitude_table_ghz_pair():
@@ -65,8 +76,7 @@ def test_amplitude_table_ghz_pair():
         assert re == pytest.approx(0.7071067811865476, abs=1e-15)
         assert im == pytest.approx(0.0, abs=1e-15)
     assert table.norm_check == pytest.approx(1.0, abs=1e-9)
-    rendered = table.to_text_rows()
-    assert rendered[0].strip() == "00  +0.707106781187+0i"
+    assert table_lines(table)[0].strip() == "00  +0.707106781187+0i"
 
 
 def test_amplitude_table_reference_encoded_state():
@@ -76,7 +86,7 @@ def test_amplitude_table_reference_encoded_state():
     values = [complex(re, im) for _, re, im in table.rows]
     np.testing.assert_allclose(values, [0.5, -0.5j, -0.5, 0.5j], atol=1e-12)
     # display snaps float dust to zero, structured rows keep raw values
-    assert [line.split(maxsplit=1)[1] for line in table.to_text_rows()] == [
+    assert [line.split(maxsplit=1)[1] for line in table_lines(table)] == [
         "+0.5+0i",
         "+0-0.5i",
         "-0.5+0i",
@@ -178,9 +188,10 @@ def test_encode_transform_table_builds_no_register(params):
 
 def test_amplitude_table_dict_round_trip():
     table = amplitude_table(make_ghz(2, 2))
-    doc = table.to_dict()
+    doc = cli._table(table)
     assert json.loads(json.dumps(doc)) == doc
-    assert doc["rows"][0][1] == 1.0 / np.sqrt(2.0)  # raw value, not the display rounding
+    assert doc["rows"][0][1] == 1.0 / np.sqrt(2.0)  # raw value; main publishes it as it writes
+    assert cli._published(doc)["rows"][0][1] == 0.707106781187
 
 
 # exact statistics -----------------------------------------------------------
@@ -392,15 +403,16 @@ def test_published_keeps_twelve_digits_as_the_text_prints(x):
 
 def test_reference_report_values():
     report = reproduce_example_d4(seed=7)
-    assert report.exact_p == pytest.approx(0.25, abs=1e-12)
-    assert report.exact_p == report.marginal[REF_SECRET]
+    doc, _ = example_command(seed=7)
+    assert doc["exact_p"] == pytest.approx(0.25, abs=1e-12)
+    assert doc["exact_p"] == report.marginal[REF_PARAMS.expected_secret]
     assert report.marginal == pytest.approx((0.25,) * 4, abs=1e-12)
     assert len(report.encoded_table.rows) == 4
     assert len(report.transformed_table.rows) == 16
     assert (report.mc_estimate, report.mc_interval) == success_probability_mc(REF_PARAMS, REF_TRIALS, 7)
-    assert report.to_dict()["mc"]["trials"] == REF_TRIALS == 10_000
+    assert doc["mc"]["trials"] == REF_TRIALS == 10_000
     assert abs(report.mc_estimate - 0.25) < 4 * math.sqrt(0.25 * 0.75 / REF_TRIALS)
-    assert "uniform" in report.verdict
+    assert "uniform" in doc["verdict"]
 
 
 def test_reference_report_reads_the_registry_law():
@@ -408,13 +420,12 @@ def test_reference_report_reads_the_registry_law():
     report = reproduce_example_d4()
     law = VARIANTS[SONG_ORIGINAL].distribution(d4_params()).probs
     assert report.marginal == tuple(float(p) for p in law)
-    assert report.exact_p == float(law[REF_SECRET])
+    assert example_command()[0]["exact_p"] == float(law[REF_PARAMS.expected_secret])
 
 
 def test_reference_report_keeps_only_what_it_computed():
     assert [f.name for f in dataclasses.fields(ExampleReport)] == [
-        "encoded_table", "transformed_table", "marginal",
-        "mc_seed", "mc_estimate", "mc_interval",
+        "encoded_table", "transformed_table", "marginal", "mc_estimate", "mc_interval",
     ]
     assert REF_PARAMS == d4_params()
 
@@ -433,14 +444,14 @@ def test_reference_example_builds_no_params(monkeypatch):
 
 
 def test_reference_report_byte_identical_per_seed():
-    a = reproduce_example_d4(seed=3)
-    b = reproduce_example_d4(seed=3)
-    assert a.to_text() == b.to_text()
-    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+    assert reproduce_example_d4(seed=3) == reproduce_example_d4(seed=3)
+    (doc_a, text_a), (doc_b, text_b) = example_command(seed=3), example_command(seed=3)
+    assert text_a == text_b
+    assert json.dumps(doc_a) == json.dumps(doc_b)
 
 
 def test_reference_report_structured_round_trip():
-    doc = reproduce_example_d4(seed=5).to_dict()
+    doc = cli._published(example_command(seed=5)[0])
     assert json.loads(json.dumps(doc)) == doc
     assert set(doc) == {
         "params", "encoded_table", "transformed_table", "marginal", "exact_p", "mc", "verdict",
@@ -448,8 +459,8 @@ def test_reference_report_structured_round_trip():
     assert set(doc["mc"]) == {"trials", "seed", "estimate", "interval95"}
 
 
-def _table_values(table_doc):
-    return {label: complex(re, im) for label, re, im in table_doc["rows"]}
+def _table_values(table):
+    return {label: complex(re, im) for label, re, im in table.rows}
 
 
 def test_reference_split_invariance():
@@ -457,16 +468,15 @@ def test_reference_split_invariance():
     # one fixed split stands for all 16; raw floats may differ by ~1e-16 dust,
     # so compare within the pinned tolerance and require identical rendered tables
     base = reproduce_example_d4(seed=1)
-    base_doc = base.to_dict()
     for s1, s2 in itertools.product(range(4), repeat=2):
         params = ProtocolParams(d=4, t=3, s_vector=(s1, s2, (3 - s1 - s2) % 4))
         assert ([published(p) for p in outcome_marginal(params).probs]
-                == [published(p) for p in base_doc["marginal"]])
+                == [published(p) for p in base.marginal])
         encoded = post_encoding_state(params)
         for table, key in ((amplitude_table(encoded), "encoded_table"),
                            (amplitude_table(apply_local(encoded, 1, qft_inv(4))), "transformed_table")):
-            ours, theirs = _table_values(table.to_dict()), _table_values(base_doc[key])
+            ours, theirs = _table_values(table), _table_values(getattr(base, key))
             assert ours.keys() == theirs.keys()
             for label in ours:
                 assert abs(ours[label] - theirs[label]) < 1e-12
-            assert table.to_text_rows() == getattr(base, key).to_text_rows()
+            assert table_lines(table) == table_lines(getattr(base, key))

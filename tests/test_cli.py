@@ -14,8 +14,8 @@ import pytest
 
 import quditshare
 from quditshare import cli, protocol
-from quditshare.analysis import ReproductionError, published, reproduce_example_d4
-from quditshare.cli import main
+from quditshare.analysis import ReproductionError, reproduce_example_d4
+from quditshare.cli import main, published
 from quditshare.protocol import VARIANTS
 
 
@@ -272,7 +272,16 @@ def test_example_structured_matches_library(capsys):
     rc, out, _ = run_cli(capsys, "example", "--seed", "11", "--format", "structured")
     assert rc == 0
     doc = json.loads(out)
-    assert doc == cli._published(reproduce_example_d4(seed=11).to_dict())
+    report = reproduce_example_d4(seed=11)
+    assert doc["params"] == {"d": 4, "t": 3, "secret": 3, "s_split": [3, 0, 0]}
+    for key in ("encoded_table", "transformed_table"):
+        table = getattr(report, key)
+        assert doc[key] == {"d": table.d, "t": table.t, "norm_check": published(table.norm_check),
+                            "rows": [[label, published(re_), published(im)] for label, re_, im in table.rows]}
+    assert doc["marginal"] == [published(p) for p in report.marginal]
+    assert doc["exact_p"] == published(report.marginal[3])
+    assert doc["mc"] == {"trials": 10_000, "seed": 11, "estimate": published(report.mc_estimate),
+                         "interval95": [published(x) for x in report.mc_interval]}
     assert json.loads(json.dumps(doc)) == doc
 
 

@@ -52,6 +52,11 @@ of the binomial stderr, which was 0 whenever every trial hit or none did, so
 example's monte carlo: line and example-structured's "mc" moved too. Those
 three files moved; the other seven, sweep included, kept their bytes.
 
+At 0.6.0 the CLI alone formats output, and published moved to it: each
+command's text is rendered from the published document that --format
+structured writes, so the two print the same values by construction. No
+output byte moved.
+
 Each output is also stored as tests/golden/<name>.txt (.json for structured
 output) and compared byte for byte, so a mismatch shows as a unified diff; the
 hash stays as a second check, and each file must hash to its pin.
@@ -64,8 +69,7 @@ from pathlib import Path
 
 import pytest
 
-from quditshare.analysis import published
-from quditshare.cli import main
+from quditshare.cli import _parser, main, published
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -141,8 +145,26 @@ def test_output_bytes_unchanged(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+STRUCTURED = [name for name, (argv, _) in GOLDEN.items() if "structured" in argv]
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_text_is_the_structured_document_rendered(capsys, name):
+    # the command's renderer, applied to the document its structured golden
+    # holds, prints what the same argv prints as text, and the pinned text
+    # where that argv has a golden file of its own
+    argv = GOLDEN[name][0]
+    at = argv.index("--format")
+    text_argv = argv[:at] + argv[at + 2:]
+    rendered = _parser().parse_args(text_argv).render(json.loads(golden_path(name).read_text()))
+    assert main(text_argv) == 0
+    assert rendered == capsys.readouterr().out
+    pinned = [golden_path(other).read_text() for other, (other_argv, _) in GOLDEN.items() if other_argv == text_argv]
+    assert pinned == [rendered] * len(pinned)
+
+
 @pytest.mark.parametrize("argv", [
-    *(argv for argv, _ in GOLDEN.values() if "structured" in argv),
+    *(GOLDEN[name][0] for name in STRUCTURED),
     [*GOLDEN["shares"][0], "--format", "structured"],
 ], ids=lambda argv: " ".join(argv))
 def test_structured_output_publishes_every_float(capsys, argv):

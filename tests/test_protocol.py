@@ -55,6 +55,14 @@ def d4_params():
     return ProtocolParams(d=4, t=3, s_vector=(3, 0, 0))
 
 
+def simulate(variant, params, seed):
+    """The simulate command's published document and its text for an s_vector run."""
+    args = cli._parser().parse_args(["simulate", "--variant", variant, "--d", str(params.d),
+                                     "--s-vector", ",".join(map(str, params.s_vector)), "--seed", str(seed)])
+    doc = cli._published(args.handler(args))
+    return doc, args.render(doc)
+
+
 # params -----------------------------------------------------------------------
 
 def test_params_require_exactly_one_secret_source():
@@ -199,7 +207,7 @@ def test_song_original_transcript_shape():
     tr = run_song_original(d4_params(), 11)
     assert tr.variant == SONG_ORIGINAL
     # two sends, three gates, agent 1's lone measurement and no announcement
-    assert tr.to_dict()["events"] == [
+    assert simulate(SONG_ORIGINAL, d4_params(), 11)[0]["transcript"]["events"] == [
         {"type": "qudit_sent", "from": 1, "to": 2, "qudit": 2},
         {"type": "qudit_sent", "from": 1, "to": 3, "qudit": 3},
         {"type": "gate_applied", "agent": 1, "gate": "U(0,3)", "s": 3},
@@ -215,9 +223,9 @@ def test_song_original_transcript_shape():
 def test_song_original_single_agent_recovers_term():
     for d, s in [(4, 3), (5, 0), (7, 6)]:
         for seed in range(4):
-            tr = run_song_original(ProtocolParams(d=d, t=1, s_vector=(s,)), seed)
-            assert tr.final_outcome == s
-            assert tr.to_dict()["events"] == [
+            params = ProtocolParams(d=d, t=1, s_vector=(s,))
+            assert run_song_original(params, seed).final_outcome == s
+            assert simulate(SONG_ORIGINAL, params, seed)[0]["transcript"]["events"] == [
                 {"type": "gate_applied", "agent": 1, "gate": f"U(0,{s})", "s": s},
                 {"type": "measured", "agent": 1, "basis": "fourier", "outcome": s},
             ]
@@ -268,7 +276,7 @@ def test_counterfactual_rejects_out_of_range():
 
 def test_repaired_transcript_shape_and_outcome():
     tr = run_repaired_all_measure(d4_params(), 21)
-    events = tr.to_dict()["events"]
+    events = simulate(REPAIRED, d4_params(), 21)[0]["transcript"]["events"]
     assert tr.variant == REPAIRED
     kinds = ["qudit_sent"] * 2 + ["gate_applied"] * 3 + ["measured", "announced"] * 3
     assert [e["type"] for e in events] == kinds
@@ -660,17 +668,15 @@ def test_repaired_announcements_hide_the_secret_until_the_last():
 @pytest.mark.parametrize("run", [run_song_original, run_repaired_all_measure])
 def test_transcript_determinism(run):
     a = run(d4_params(), 77)
-    b = run(d4_params(), 77)
-    assert a.to_text() == b.to_text()
-    assert a.to_dict() == b.to_dict()
+    assert a == run(d4_params(), 77)
+    assert simulate(a.variant, d4_params(), 77) == simulate(a.variant, d4_params(), 77)
 
 
 def test_transcript_serialization_round_trip():
     tr = run_repaired_all_measure(d4_params(), 13)
-    doc = tr.to_dict()
+    doc, text = simulate(REPAIRED, d4_params(), 13)
     assert json.loads(json.dumps(doc)) == doc
-    text = tr.to_text()
-    assert text.endswith(f"expected secret: {tr.expected_secret}\n")
+    assert text.endswith(f"expected secret: {tr.expected_secret}\noutcome == secret: yes\n")
     assert f"final outcome: {tr.final_outcome}" in text
     assert text.count("announce:") == 3
 
@@ -680,12 +686,13 @@ def test_transcript_serialization_round_trip():
 def test_transcript_renders_its_terms_and_outcomes(params, seed, variant):
     flow = VARIANTS[variant]
     tr = flow.run(params, seed)
-    t, events = tr.t, tr.to_dict()["events"]
+    doc, text = simulate(variant, params, seed)
+    t, events = tr.t, doc["transcript"]["events"]
     assert tr.terms == flow.terms(params)
     assert len(tr.outcomes) == (t if flow.all_measure else 1)
     # every event line pairs with its record, in order and of the same kind
     kinds = {"send": "qudit_sent", "gate": "gate_applied", "measure": "measured", "announce": "announced"}
-    assert [kinds[line.split(":")[0]] for line in tr.to_lines()[1:-2]] == [e["type"] for e in events]
+    assert [kinds[line.split(":")[0]] for line in text.splitlines()[1:-3]] == [e["type"] for e in events]
     by_kind = {kind: [e for e in events if e["type"] == kind] for kind in kinds.values()}
     sends = [(e["from"], e["to"], e["qudit"]) for e in by_kind["qudit_sent"]]
     assert sends == [(1, r, r) for r in range(2, t + 1)]
