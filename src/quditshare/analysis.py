@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,19 +76,22 @@ def amplitude_table(reg: QuditRegister) -> AmplitudeTable:
 
     The candidates are the register's values, its amplitudes on the support,
     so no other amplitude is read; only they are tested against PRUNE_TOL.
-    The kept rows' labels are rendered from their digit matrix in one array
-    pass. norm_check sums the kept rows' scalar moduli in basis order, since
-    a vectorised modulus or sum can move its bits by an ulp.
+    The kept rows' digit matrix is their indices divided by the powers of d in
+    one array pass, their labels come from it in another, and their parts
+    are read off the kept values as arrays. norm_check sums the kept rows'
+    scalar moduli in basis order, since a vectorised modulus or sum can move
+    its bits by an ulp.
     """
-    values = reg.values.tolist()
-    mags = [abs(a) for a in values]
-    keep = [mag >= PRUNE_TOL for mag in mags]
+    d, t = reg.d, reg.t
+    mags = np.fromiter(map(abs, reg.values.tolist()), np.float64, reg.values.size)
+    keep = mags >= PRUNE_TOL
     total = 0.0
-    for mag in itertools.compress(mags, keep):
+    for mag in mags[keep].tolist():
         total += mag * mag
-    labels = basis_labels(np.column_stack(np.unravel_index(reg.support[keep], (reg.d,) * reg.t)), reg.d)
-    rows = tuple((label, a.real, a.imag) for label, a in zip(labels, itertools.compress(values, keep)))
-    return AmplitudeTable(d=reg.d, t=reg.t, rows=rows, norm_check=total)
+    labels = basis_labels(reg.support[keep][:, None] // d ** np.arange(t - 1, -1, -1) % d, d)
+    kept = reg.values[keep]
+    rows = tuple(zip(labels, kept.real.tolist(), kept.imag.tolist()))
+    return AmplitudeTable(d=d, t=t, rows=rows, norm_check=total)
 
 
 def outcome_marginal(params: ProtocolParams) -> MarginalDistribution:

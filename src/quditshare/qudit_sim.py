@@ -29,6 +29,7 @@ invariant is compared with its bound by _check_tol alone, which NaN and inf fail
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,12 +87,14 @@ def _check_qudit_index(q: int, t: int) -> int:
 def basis_labels(digits: np.ndarray, d: int) -> list[str]:
     """Render each row of an (n, t) digit matrix as a label: '012' for d <= 10, dot-separated above.
 
-    Below 11 every digit is one character, so each row's t bytes '0' + k are
-    read as one t-byte string and all n labels decode in one array pass.
+    Below 11 every digit is one character, so the bytes '0' + k of all n rows
+    decode as one string of n*t characters, and row i's label is its i-th
+    t-character slice.
     """
     if d <= 10:
         t = digits.shape[1]
-        return (digits.astype(np.uint8) + ord("0")).view(f"S{t}").astype(f"U{t}").ravel().tolist()
+        text = (digits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+        return [text[i:i + t] for i in range(0, len(text), t)]
     return [".".join(map(str, row)) for row in digits.tolist()]
 
 
@@ -140,7 +143,7 @@ class DiagonalGate:
 
     def __post_init__(self):
         phases = np.array(self.phases, dtype=np.complex128).reshape(-1)
-        _check_tol(np.max(np.abs(np.abs(phases) ** 2 - 1.0)), NORM_TOL, "matrix is not unitary: defect")
+        _check_tol(np.abs(np.abs(phases) ** 2 - 1.0).max(), NORM_TOL, "matrix is not unitary: defect")
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
 
@@ -157,10 +160,11 @@ class FourierGate:
     """The inverse Fourier transform on one qudit, entry (j, k) = w^(-j*k) / sqrt(d).
 
     Applied as numpy's orthonormal forward FFT along axis 1 of the fibres the
-    support meets, each keyed by its digit-0 index. An all-zero fibre
-    transforms to zeros, so the occupied fibres' entries are the output's
-    support and their transforms its values. Unitary by construction, so it
-    holds no entries to check.
+    support meets, each keyed by its digit-0 index: the sorted distinct keys
+    are the fibres' rows, and searchsorted finds each entry's row. An
+    all-zero fibre transforms to zeros, so the occupied fibres' entries are
+    the output's support and their transforms its values. Unitary by
+    construction, so it holds no entries to check.
     """
 
     d: int
@@ -168,12 +172,13 @@ class FourierGate:
     def act(self, support: np.ndarray, values: np.ndarray, rest: int) -> tuple[np.ndarray, np.ndarray]:
         d = self.d
         digit = support // rest % d
-        base, row = np.unique(support - digit * rest, return_inverse=True)
+        keys = support - digit * rest
+        base = np.unique(keys)
         fibres = np.zeros((base.size, d), dtype=np.complex128)
-        fibres[row, digit] = values
+        fibres[base.searchsorted(keys), digit] = values
         # row j of the output's indices, base + j*rest, ascends; a stable sort merges the d runs
         out = (base + rest * np.arange(d)[:, None]).ravel()
-        order = np.argsort(out, kind="stable")
+        order = out.argsort(kind="stable")
         return out[order], np.fft.fft(fibres, axis=1, norm="ortho").T.ravel()[order]
 
 
@@ -214,7 +219,7 @@ def _on_diagonal(d: int, t: int, c: complex | np.ndarray) -> QuditRegister:
 
 def make_ghz(d: int, t: int) -> QuditRegister:
     """Maximally entangled state (1/sqrt d) * sum_k |k k ... k> on t qudits."""
-    return _on_diagonal(d, t, 1.0 / np.sqrt(_as_int(d, "local dimension", 2)))
+    return _on_diagonal(d, t, 1.0 / math.sqrt(_as_int(d, "local dimension", 2)))
 
 
 def phase_gate(d: int, s: int) -> DiagonalGate:
@@ -261,12 +266,13 @@ def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     the top is clamped onto the last branch, and refused if that branch is empty.
     A table holding a NaN, an infinite or a negative entry is refused.
     """
-    cumsum = np.cumsum(np.where(np.abs(probs) < PRUNE_TOL, 0.0, probs))
-    if not np.isfinite(cumsum[-1]):
-        raise ValueError(f"probabilities must be finite, got a total of {float(cumsum[-1])!r}")
+    cumsum = np.where(np.abs(probs) < PRUNE_TOL, 0.0, probs).cumsum()
+    top = float(cumsum[-1])
+    if not math.isfinite(top):
+        raise ValueError(f"probabilities must be finite, got a total of {top!r}")
     _check_tol(-probs.min(), NORM_TOL, "probabilities must lie in [0, 1]: -min(probs)")
-    idx = np.minimum(np.searchsorted(cumsum, u * cumsum[-1], side="right"), probs.size - 1)
-    if np.any(probs[idx] < PRUNE_TOL):
+    idx = np.minimum(cumsum.searchsorted(u * top, side="right"), probs.size - 1)
+    if (probs[idx] < PRUNE_TOL).any():
         raise ZeroNormProjection(f"a draw landed on a branch of probability below {PRUNE_TOL}")
     return idx
 

@@ -152,6 +152,7 @@ def _spread(d, t, entries):
 @example(reg=_spread(11, 2, {i: np.exp(1j * i) * (1 + 1 / (i + 1)) for i in range(0, 121, 10)}))
 @example(reg=_spread(5, 1, {1: 0.6, 3: 0.8j}))
 @example(reg=_spread(3, 2, {0: 1.0, 4: 1e-14, 8: -1.0}))
+@example(reg=_spread(3, 2, {0: 1.0, 4: PRUNE_TOL, 7: -1j * PRUNE_TOL}))  # moduli of exactly PRUNE_TOL are kept
 def test_amplitude_table_matches_plain_loop(reg):
     # the table reads reg.values as Python complex numbers, the loop reg.amps as numpy scalars
     rows, total = _loop_amplitude_table(reg)

@@ -365,6 +365,15 @@ def test_sweep_text_table(capsys):
     assert "song-original           2  1  1" in out
 
 
+def test_sweep_text_prints_each_column_its_own_key():
+    # every real sweep row has min_p == max_p == expected, so only a hand-made one tells them apart
+    entry = {"variant": "song-original", "d": 5, "t": 3, "min_p": 0.125, "max_p": 0.375, "expected": 0.25}
+    header, row = cli.render_sweep({"entries": [entry]}).splitlines()[1:3]
+    assert row.split() == ["song-original", "5", "3", "0.125", "0.375", "0.25"]
+    for key in ("min_p", "max_p", "expected"):
+        assert row[header.index(key):].split()[0] == f"{entry[key]:.12g}", key
+
+
 MISUSE = {
     "neither-source": (["simulate", "--d", "4"], "give a secret source"),
     "neither-source-product": (["simulate", "--variant", "product-counterfactual", "--d", "4"],

@@ -1,6 +1,8 @@
 """State-vector engine: pinned amplitudes, independent oracles, and properties."""
 
+import bisect
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from quditshare.protocol import ProtocolParams, post_encoding_state
 from quditshare.qudit_sim import (
     DEFAULT_SIZE_CAP,
     NORM_TOL,
+    PRUNE_TOL,
     DiagonalGate,
     DimensionMismatch,
     FourierGate,
@@ -23,6 +26,7 @@ from quditshare.qudit_sim import (
     ZeroNormProjection,
     apply_local,
     basis_labels,
+    inverse_cdf,
     joint_distribution,
     make_ghz,
     marginal,
@@ -267,6 +271,14 @@ def _gate_case(draw):
 @given(case=_gate_case())
 @example(case=(register(2, 2, np.array([0, 1, 1, 0]) / np.sqrt(2)), 1))  # d entries, not a whole range
 @example(case=(random_register(3, 3, seed=3), 2))  # a full support; qudit 2 has rest 3 on either side
+# several entries share a fibre of the middle qudits, so the fibre keys of the sorted support
+# repeat and fall back: qudit 2's keys here run 1, 0, 1, 1, 18, 20
+@example(case=(register(3, 3, state_from_dict(3, 3, {
+    (0, 0, 1): 0.5, (0, 1, 0): 0.5j, (0, 1, 1): -0.5, (0, 2, 1): 0.25, (2, 0, 0): 0.25j, (2, 2, 2): np.sqrt(0.125),
+})), 1))
+@example(case=(register(4, 4, state_from_dict(4, 4, {  # qudit 2's keys run 78, 78, 66, 196
+    (1, 0, 3, 2): 0.5, (1, 2, 3, 2): -0.5, (1, 3, 0, 2): 0.5j, (3, 1, 1, 0): 0.5,
+})), 3))
 def test_library_gates_match_dense_oracle(case):
     _assert_library_gates_match_dense(*case)
 
@@ -418,6 +430,52 @@ def test_measure_largest_draw_stays_on_supported_branch():
     outcome, post = measure(reg, 1, TopRng())
     assert outcome == 1
     assert_registers_close(post, basis_state(3, 1, (1,)), tol=NORM_TOL)
+
+
+def _plain_inverse_cdf(probs, u):
+    """inverse_cdf as plain Python: a masked running sum, bisect_right, the clamp and the refusals."""
+    cdf, running = [], 0.0
+    for p in probs:
+        running += 0.0 if abs(p) < PRUNE_TOL else p
+        cdf.append(running)
+    if not math.isfinite(running):
+        raise ValueError("not finite")
+    if not -min(probs) <= NORM_TOL:
+        raise ValueError("negative")
+    i = min(bisect.bisect_right(cdf, u * running), len(probs) - 1)
+    if probs[i] < PRUNE_TOL:
+        raise ZeroNormProjection("empty branch")
+    return i
+
+
+def _draw_outcome(fn, probs, u):
+    try:
+        return int(fn(probs, u))
+    except (ValueError, ZeroNormProjection) as exc:
+        return type(exc)
+
+
+# a law's entries: weights, the dust an FFT leaves on either side of 0, PRUNE_TOL itself, an empty
+# branch, and the entries it refuses
+_LAW_ENTRIES = st.one_of(
+    st.floats(PRUNE_TOL, 1.0),
+    st.sampled_from([0.0, -0.0, 6.123233995736766e-17, -9.184850993605148e-17, PRUNE_TOL / 2, -PRUNE_TOL / 2,
+                     PRUNE_TOL, 0.25, 0.5]),
+    st.sampled_from([-0.5, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(probs=st.lists(_LAW_ENTRIES, min_size=1, max_size=12).map(np.array),
+       u=st.one_of(st.floats(0.0, 1.0), st.just(float(np.nextafter(1.0, 0.0)))))
+@example(probs=np.array([0.5, 0.5, 0.0]), u=float(np.nextafter(1.0, 0.0)))  # an empty last branch
+@example(probs=np.array([0.5, 0.5, 6.123233995736766e-17]), u=1.0)  # dust on the last branch, clamped onto
+@example(probs=np.array([0.25, -9.184850993605148e-17, 0.75]), u=0.25)  # an edge of the CDF, dust beside it
+def test_inverse_cdf_matches_plain_bisect(probs, u):
+    # a scalar u, as Variant.run and measure pass it, and a one-draw array draw the same branch
+    expected = _draw_outcome(_plain_inverse_cdf, probs.tolist(), u)
+    assert _draw_outcome(inverse_cdf, probs, u) == expected
+    assert _draw_outcome(lambda p, v: inverse_cdf(p, np.array([v]))[0], probs, u) == expected
 
 
 def test_measure_writes_its_register_once():
@@ -626,3 +684,26 @@ def test_basis_label_formats():
     # one character per digit up to d = 10, dot-separated from d = 11
     assert basis_labels(np.array([(9, 0), (0, 9)]), 10) == ["90", "09"]
     assert basis_labels(np.array([(10, 0), (0, 10)]), 11) == ["10.0", "0.10"]
+
+
+@st.composite
+def _digit_matrices(draw):
+    d = draw(st.integers(2, 16))
+    t = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, d - 1), min_size=t, max_size=t), max_size=20))
+    return d, t, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_digit_matrices())
+@example(case=(10, 3, [[9, 0, 9], [0, 0, 0]]))
+@example(case=(11, 2, [[10, 0], [9, 10]]))
+@example(case=(4, 1, [[3], [0], [2]]))  # one character per label
+@example(case=(8, 6, []))  # no rows at all
+@example(case=(16, 1, []))
+def test_basis_labels_match_plain_join(case):
+    # the digit matrix as amplitude_table builds it, int64 of shape (rows, t)
+    d, t, rows = case
+    digits = np.array(rows, dtype=np.int64).reshape(len(rows), t)
+    separator = "" if d <= 10 else "."
+    assert basis_labels(digits, d) == [separator.join(map(str, row)) for row in rows]
