@@ -146,7 +146,7 @@ def success_probability_mc(
     seed = _as_int(seed, "seed", 0)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    law = VARIANTS[variant].distribution(params).probs
+    law = VARIANTS[variant].distribution(params)
     rng = np.random.default_rng(seed)
     hits = 0
     for start in range(0, trials, MC_CHUNK):

@@ -234,7 +234,7 @@ class Variant:
         terms = self.terms(params)
         d = params.d
         rng = np.random.default_rng(seed)
-        final = int(inverse_cdf(self._law(d, terms).probs, rng.random()))
+        final = int(inverse_cdf(self._law(d, terms), rng.random()))
         outcomes = (final,)
         if self.all_measure:
             others = rng.integers(0, d, len(terms) - 1).tolist()

@@ -3,7 +3,8 @@
 Basis convention: the flat index I encodes digits (k_1, ..., k_t) with qudit 1
 as the MOST significant digit, I = k_1*d^(t-1) + ... + k_t. All reduced
 statistics (marginal, measure, joint_distribution) follow this convention.
-Every seeded draw, measure's included, is inverse_cdf on a one-qudit law.
+Every seeded draw, measure's included, is inverse_cdf on a one-qudit law:
+MarginalDistribution checks the law, and inverse_cdf only draws from it.
 
 A register is its support, the sorted flat indices outside which every
 amplitude is exactly 0, and its values, the amplitudes on the support: a
@@ -184,7 +185,7 @@ class FourierGate:
 
 @dataclass(frozen=True, eq=False)
 class MarginalDistribution:
-    """Born-rule outcome probabilities of one qudit."""
+    """Born-rule outcome probabilities of one qudit: the one check of a law, which inverse_cdf only draws from."""
 
     probs: np.ndarray
 
@@ -257,20 +258,18 @@ def marginal(reg: QuditRegister, q: int) -> MarginalDistribution:
     return MarginalDistribution(np.bincount(_digits(reg, q), np.abs(reg.values) ** 2, minlength=reg.d))
 
 
-def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> np.ndarray:
-    """Index of probs drawn by each uniform in u, by inverting the CDF.
+def inverse_cdf(law: MarginalDistribution, u: float | np.ndarray) -> np.ndarray:
+    """Index of law.probs drawn by each uniform in u, by inverting the CDF.
 
-    An entry below PRUNE_TOL, such as the dust an FFT leaves, gets no CDF width,
-    and scaling by the CDF's top keeps every draw in [0, 1), 0.0 included, off
-    those branches, even when rounding leaves the top just below 1. A draw past
-    the top is clamped onto the last branch, and refused if that branch is empty.
-    A table holding a NaN, an infinite or a negative entry is refused.
+    The law is already checked. An entry below PRUNE_TOL, such as the dust an
+    FFT leaves, gets no CDF width, and scaling by the CDF's top keeps every
+    draw in [0, 1), 0.0 included, off those branches, even when rounding leaves
+    the top just below 1. A draw past the top is clamped onto the last branch,
+    and refused with ZeroNormProjection if that branch is empty.
     """
+    probs = law.probs
     cumsum = np.where(np.abs(probs) < PRUNE_TOL, 0.0, probs).cumsum()
     top = float(cumsum[-1])
-    if not math.isfinite(top):
-        raise ValueError(f"probabilities must be finite, got a total of {top!r}")
-    _check_tol(-probs.min(), NORM_TOL, "probabilities must lie in [0, 1]: -min(probs)")
     idx = np.minimum(cumsum.searchsorted(u * top, side="right"), probs.size - 1)
     if (probs[idx] < PRUNE_TOL).any():
         raise ZeroNormProjection(f"a draw landed on a branch of probability below {PRUNE_TOL}")
@@ -285,10 +284,10 @@ def measure(reg: QuditRegister, q: int, rng: np.random.Generator) -> tuple[int, 
     post-measurement register: the support entries whose digit is the outcome,
     renormalized.
     """
-    probs = marginal(reg, q).probs
-    v = int(inverse_cdf(probs, rng.random()))
+    law = marginal(reg, q)
+    v = int(inverse_cdf(law, rng.random()))
     kept = _digits(reg, q) == v
-    return v, QuditRegister(reg.d, reg.t, reg.support[kept], reg.values[kept] / np.sqrt(probs[v]))
+    return v, QuditRegister(reg.d, reg.t, reg.support[kept], reg.values[kept] / np.sqrt(law.probs[v]))
 
 
 def joint_distribution(reg: QuditRegister) -> JointDistribution:

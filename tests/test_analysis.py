@@ -333,7 +333,7 @@ def _mc_case(draw):
     variant=st.sampled_from(list(VARIANTS)),
 )
 def test_mc_matches_consecutive_draws_on_one_stream(params, trials, seed, variant):
-    law = VARIANTS[variant].distribution(params).probs
+    law = VARIANTS[variant].distribution(params)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
@@ -344,7 +344,7 @@ def test_mc_matches_consecutive_draws_on_one_stream(params, trials, seed, varian
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_mc_chunked_run_matches_one_draw(variant):
     params, trials = d4_params(), MC_CHUNK + 3
-    law = VARIANTS[variant].distribution(params).probs
+    law = VARIANTS[variant].distribution(params)
     outcomes = inverse_cdf(law, np.random.default_rng(8).random(trials))
     hits = np.count_nonzero(outcomes == params.expected_secret)
     assert success_probability_mc(params, trials, 8, variant)[0] == hits / trials

@@ -479,7 +479,7 @@ def test_every_library_table_draws(variant):
         t = 1
         while d**t <= 512:
             params = ProtocolParams(d, t, s_vector=tuple(int(v) for v in rng.integers(0, d, size=t)))
-            outcomes = inverse_cdf(flow.distribution(params).probs, rng.random(5))
+            outcomes = inverse_cdf(flow.distribution(params), rng.random(5))
             assert outcomes.shape == (5,), (d, t)
             t += 1
 
@@ -494,7 +494,7 @@ def test_lone_draw_matches_measure(params, seed, variant):
     flow = VARIANTS[variant]
     reg = apply_local(post_encoding_state(_flow_params(flow, params)), 1, qft_inv(params.d))
     outcome = measure(reg, 1, np.random.default_rng(seed))[0]
-    assert inverse_cdf(flow.distribution(params).probs, np.random.default_rng(seed).random()) == outcome
+    assert inverse_cdf(flow.distribution(params), np.random.default_rng(seed).random()) == outcome
     assert flow.run(params, seed).final_outcome == outcome
 
 
@@ -511,9 +511,10 @@ class ConstantRng:
 def _law_of(flow, reg):
     """The final-outcome law flow reads off reg once its measurers are inverted: the digit sum's."""
     if not flow.all_measure:
-        return marginal(reg, 1).probs
+        return marginal(reg, 1)
     table = np.abs(reg.amps.reshape((reg.d,) * reg.t)) ** 2
-    return np.bincount((np.indices(table.shape).sum(axis=0) % reg.d).ravel(), table.ravel(), reg.d)
+    digit_sums = np.indices(table.shape).sum(axis=0) % reg.d
+    return MarginalDistribution(np.bincount(digit_sums.ravel(), table.ravel(), reg.d))
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -522,10 +523,10 @@ def test_draw_largest_uniform_stays_on_supported_branch(variant):
     amps = np.kron(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), [0.0, 1.0, 0.0])
     flow = VARIANTS[variant]
     law = _law_of(flow, register(3, 2, amps))
-    assert np.cumsum(law)[-1] < 1.0
+    assert np.cumsum(law.probs)[-1] < 1.0
     outcomes = inverse_cdf(law, ConstantRng(float(np.nextafter(1.0, 0.0))).random(3))
     assert outcomes.shape == (3,)
-    assert all(law[outcomes] > 0.4)
+    assert all(law.probs[outcomes] > 0.4)
     # qudit 1 reads 1, the last supported branch: alone, or summed with qudit 2's 1
     assert (outcomes == (2 if flow.all_measure else 1)).all()
 
@@ -542,9 +543,9 @@ def test_draw_uniform_zero_lands_on_a_supported_branch():
     for flow, d, t in itertools.product(VARIANTS.values(), range(2, cli.SWEEP_D_MAX + 1),
                                         range(1, cli.SWEEP_T_MAX + 1)):
         for secret in range(d):
-            law = flow.distribution(ProtocolParams(d=d, t=t, s_vector=(secret,) + (0,) * (t - 1))).probs
+            law = flow.distribution(ProtocolParams(d=d, t=t, s_vector=(secret,) + (0,) * (t - 1)))
             outcome = inverse_cdf(law, ConstantRng(0.0).random(1))
-            assert law[outcome] >= PRUNE_TOL, (flow.name, d, t, secret)
+            assert law.probs[outcome] >= PRUNE_TOL, (flow.name, d, t, secret)
 
 
 # post-encoding state ----------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import bisect
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from quditshare.qudit_sim import (
     DimensionMismatch,
     FourierGate,
     IndexOutOfRange,
+    MarginalDistribution,
     QuditRegister,
     SizeCapExceeded,
     ZeroNormProjection,
@@ -433,49 +433,55 @@ def test_measure_largest_draw_stays_on_supported_branch():
 
 
 def _plain_inverse_cdf(probs, u):
-    """inverse_cdf as plain Python: a masked running sum, bisect_right, the clamp and the refusals."""
+    """inverse_cdf as plain Python: a masked running sum, bisect_right, the clamp and the empty-branch refusal."""
     cdf, running = [], 0.0
     for p in probs:
         running += 0.0 if abs(p) < PRUNE_TOL else p
         cdf.append(running)
-    if not math.isfinite(running):
-        raise ValueError("not finite")
-    if not -min(probs) <= NORM_TOL:
-        raise ValueError("negative")
     i = min(bisect.bisect_right(cdf, u * running), len(probs) - 1)
     if probs[i] < PRUNE_TOL:
         raise ZeroNormProjection("empty branch")
     return i
 
 
-def _draw_outcome(fn, probs, u):
+def _draw_outcome(fn, law, u):
     try:
-        return int(fn(probs, u))
-    except (ValueError, ZeroNormProjection) as exc:
+        return int(fn(law, u))
+    except ZeroNormProjection as exc:
         return type(exc)
 
 
-# a law's entries: weights, the dust an FFT leaves on either side of 0, PRUNE_TOL itself, an empty
-# branch, and the entries it refuses
+def _normalised(entries):
+    """The entries with the weights above PRUNE_TOL scaled to sum to 1 and the dust kept as it is."""
+    probs = np.array(entries)
+    weights = probs > PRUNE_TOL
+    probs[weights] /= probs[weights].sum()
+    return probs
+
+
+# a law's entries: weights, the dust an FFT leaves on either side of 0, PRUNE_TOL itself and empty
+# branches; at most 12 of them add at most 12 * PRUNE_TOL to the sum, so MarginalDistribution accepts it
 _LAW_ENTRIES = st.one_of(
     st.floats(PRUNE_TOL, 1.0),
     st.sampled_from([0.0, -0.0, 6.123233995736766e-17, -9.184850993605148e-17, PRUNE_TOL / 2, -PRUNE_TOL / 2,
                      PRUNE_TOL, 0.25, 0.5]),
-    st.sampled_from([-0.5, math.inf, math.nan]),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(probs=st.lists(_LAW_ENTRIES, min_size=1, max_size=12).map(np.array),
+@given(probs=st.lists(_LAW_ENTRIES, min_size=1, max_size=12).filter(lambda es: max(es) > PRUNE_TOL)
+       .map(_normalised),
        u=st.one_of(st.floats(0.0, 1.0), st.just(float(np.nextafter(1.0, 0.0)))))
 @example(probs=np.array([0.5, 0.5, 0.0]), u=float(np.nextafter(1.0, 0.0)))  # an empty last branch
 @example(probs=np.array([0.5, 0.5, 6.123233995736766e-17]), u=1.0)  # dust on the last branch, clamped onto
 @example(probs=np.array([0.25, -9.184850993605148e-17, 0.75]), u=0.25)  # an edge of the CDF, dust beside it
+@example(probs=np.array([PRUNE_TOL, 0.5, 0.5]), u=0.0)  # PRUNE_TOL itself keeps its CDF width
 def test_inverse_cdf_matches_plain_bisect(probs, u):
     # a scalar u, as Variant.run and measure pass it, and a one-draw array draw the same branch
+    law = MarginalDistribution(probs)
     expected = _draw_outcome(_plain_inverse_cdf, probs.tolist(), u)
-    assert _draw_outcome(inverse_cdf, probs, u) == expected
-    assert _draw_outcome(lambda p, v: inverse_cdf(p, np.array([v]))[0], probs, u) == expected
+    assert _draw_outcome(inverse_cdf, law, u) == expected
+    assert _draw_outcome(lambda p, v: inverse_cdf(p, np.array([v]))[0], law, u) == expected
 
 
 def test_measure_writes_its_register_once():
